@@ -2,8 +2,9 @@
 classification toolkit for intrusion-detection datasets."""
 
 from .data import ColumnKind, ColumnSpec, Dataset, LabelVector, Profile, load_csv, split_xy, train_test_split
-from .errors import (ConfigError, DatasetError, DomainError, IdsfxError,
-                     IntegrityError, PipelineError, SchemaError, VersionError)
+from .errors import (ConfigError, DatasetError, DomainError, EmptyDatasetError,
+                     IdsfxError, IntegrityError, PipelineError, SchemaError,
+                     VersionError)
 from .matrix import FeatureMatrix
 from .nmf import NmfConfig, NmfModel, nmf_fit, nmf_transform, nndsvd_init, reconstruction_error
 from .pipeline import (FittedPipeline, PipelineConfig, pipeline_fit,
@@ -21,6 +22,7 @@ __all__ = [
     "FittedPipeline", "PipelineConfig", "pipeline_fit", "pipeline_load",
     "pipeline_save", "pipeline_transform",
     "Chi2Report", "apply_selection", "chi2_scores", "select_k_best",
-    "IdsfxError", "DatasetError", "SchemaError", "ConfigError", "DomainError",
+    "IdsfxError", "DatasetError", "EmptyDatasetError", "SchemaError",
+    "ConfigError", "DomainError",
     "PipelineError", "IntegrityError", "VersionError",
 ]

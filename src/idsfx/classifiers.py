@@ -237,16 +237,15 @@ def _fit_forest(x, y, k, hp, seed):
             raise ConfigError(f"max_features must be in [1, {m}]")
     rng = np.random.default_rng(seed)
     trees = []
+    short = 0   # trees whose bootstrap sample lacks a class
     for _ in range(hp["n_trees"]):
         if hp["bootstrap"]:
             boot = rng.integers(0, n, n)
             if np.unique(y[boot]).size < k:
                 boot = rng.integers(0, n, n)  # resample once
-            if np.unique(y[boot]).size < k:
-                # rare classes legitimately vanish from a bootstrap sample;
-                # the tree simply never votes for them
-                log.warning("bootstrap sample lost %d class(es); growing tree anyway",
-                            k - np.unique(y[boot]).size)
+            # rare classes legitimately vanish from a bootstrap sample;
+            # the tree simply never votes for them
+            short += np.unique(y[boot]).size < k
             xt = np.ascontiguousarray(x[boot])
             yt = np.ascontiguousarray(y[boot])
         else:
@@ -254,6 +253,9 @@ def _fit_forest(x, y, k, hp, seed):
         tree_seed = int(rng.integers(1, kernels.LCG_MOD - 1))
         trees.append(_tree_state(kernels.grow_tree(
             xt, yt, k, m_try, hp["min_samples_split"], tree_seed)))
+    if short:
+        log.warning("bootstrap samples of %d of %d trees lost class(es); "
+                    "grew them anyway", short, hp["n_trees"])
     return {"trees": trees, "n_classes": k}
 
 

@@ -3,7 +3,8 @@
 Subcommands: inspect, fit, transform, evaluate, corr, chi2.  Runs are driven
 by a JSON config file (--config) with CLI flags overriding file values; the
 fully resolved config is echoed into the output directory so every run can be
-replayed.  Exit codes: 0 success, 2 usage/config error, 1 runtime error.
+replayed.  Exit codes: 0 success, 2 usage/config error or empty dataset,
+1 runtime error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .classifiers import ALGORITHMS
 from .data import ColumnKind, Dataset, load_csv, split_xy
-from .errors import ConfigError, DatasetError, IdsfxError
+from .errors import ConfigError, EmptyDatasetError, IdsfxError
 from .evaluate import CorrMatrix, export_report, pearson_corr
 from .pipeline import (PipelineConfig, pipeline_fit, pipeline_load,
                        pipeline_save, pipeline_transform)
@@ -273,12 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EmptyDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if "empty dataset" in str(exc) else 1
     except IdsfxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, SchemaError
+from .errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ def _read_rows(path: str | Path) -> list[list[str]]:
         raise DatasetError(f"no such file: {p}")
     raw = p.read_bytes()
     if not raw.strip():
-        raise DatasetError(f"empty dataset: {p}")
+        raise EmptyDatasetError(f"empty dataset: {p}")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -160,7 +160,7 @@ def _read_rows(path: str | Path) -> list[list[str]]:
             f"{p}: not valid UTF-8 at byte offset {exc.start}") from exc
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
-        raise DatasetError(f"empty dataset: {p}")
+        raise EmptyDatasetError(f"empty dataset: {p}")
     return rows
 
 
@@ -244,7 +244,7 @@ def load_csv(path: str | Path, profile: Profile | str,
         if first == KDD_FEATURES[0]:  # header present
             rows = rows[1:]
             if not rows:
-                raise DatasetError(f"empty dataset: {path}")
+                raise EmptyDatasetError(f"empty dataset: {path}")
         schema = _kdd_schema(len(rows[0]))
     elif profile is Profile.CICIDS2017:
         header = [h.strip() for h in rows[0]]
@@ -261,7 +261,7 @@ def load_csv(path: str | Path, profile: Profile | str,
         schema = specs
         rows = rows[1:]
         if not rows:
-            raise DatasetError(f"empty dataset: {path}")
+            raise EmptyDatasetError(f"empty dataset: {path}")
     else:  # Generic
         if len(rows) < 2:
             raise DatasetError("generic profile requires a header row and at least one data row")

@@ -9,6 +9,10 @@ class DatasetError(IdsfxError):
     """Malformed or unreadable dataset input."""
 
 
+class EmptyDatasetError(DatasetError):
+    """The dataset file holds no data rows."""
+
+
 class SchemaError(IdsfxError):
     """Column layout does not match what a fitted model or profile expects."""
 

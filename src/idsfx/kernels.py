@@ -1,52 +1,32 @@
-"""Hot numeric kernels with a numba fast path and a pure-interpreter fallback.
+"""Hot numeric kernels: CART tree growth and prediction, and Pegasos SVM SGD.
 
-Backend selection: environment variable ``IDSFX_BACKEND``:
+Each kernel is numpy code vectorized across the axis that carries no
+dependency: classes and features within one SGD step, candidate features
+within one tree node, and rows within one tree level.  The floating-point
+operations and their order are those of plain element-by-element loops, so
+results are bit-identical to the scalar reference kept in
+``tests/scalar_kernels.py``; ``tests/test_kernels.py`` checks that over
+seeded and degenerate inputs.  No BLAS call is used, because BLAS may sum in
+any order.
 
-* ``auto``  (default) - use numba when importable, else fall back
-* ``numba`` - require numba, raise if missing
-* ``numpy`` - force the interpreted numpy path
-
-Both paths execute the same function bodies, so results are bit-identical
-across backends.  Integer class counts drive every split comparison, which
-keeps tie-breaking exact.  Feature subsampling uses a Park-Miller LCG whose
-arithmetic stays inside int64 on either path.
-
-Kernels here are the inner loops of the CART tree builder (used by the
-decision tree and random forest) and the one-vs-rest hinge SGD of the linear
-SVM.  See ``benchmarks/bench_kernels.py`` for a speed comparison.
+Integer class counts drive every split comparison, which keeps tie-breaking
+exact.  Feature subsampling uses a Park-Miller LCG, so a forest's trees depend
+only on their integer seeds.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_choice = os.environ.get("IDSFX_BACKEND", "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"IDSFX_BACKEND must be auto|numba|numpy, got {_choice!r}")
-
-NUMBA_ENABLED = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-
-
-def _maybe_jit(fn):
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
-
 
 LCG_MOD = 2147483647   # 2^31 - 1 (Park-Miller)
 LCG_MUL = 48271
 
+# A node's split search holds a few int64/float64 arrays of about this many
+# cells (rows x candidate features) at a time; on nodes with more rows, one
+# feature column each.
+SPLIT_BLOCK_CELLS = 4096
 
-@_maybe_jit
+
 def _lcg_seed(seed):
     s = seed % (LCG_MOD - 1)
     if s < 0:
@@ -54,18 +34,74 @@ def _lcg_seed(seed):
     return s + 1  # state in [1, LCG_MOD - 1]
 
 
-def _grow_tree_impl(X, y, n_classes, max_features, min_samples_split, seed):
+def _candidate_features(m, max_features, state):
+    """Partial Fisher-Yates draw of ``max_features`` of ``m`` features.
+
+    Returns the drawn features in ascending order and the advanced LCG state;
+    with ``max_features >= m`` every feature is a candidate and no draw is made.
+    """
+    if max_features >= m:
+        return np.arange(m), state
+    buf = list(range(m))
+    for j in range(max_features):
+        state = (state * LCG_MUL) % LCG_MOD
+        pick = j + state % (m - j)
+        buf[j], buf[pick] = buf[pick], buf[j]
+    return np.array(sorted(buf[:max_features]), np.int64), state
+
+
+def _best_split(xt, ys, rows, feats, counts):
+    """Best (feature, threshold) for one node, or (-1, 0.0) if none improves.
+
+    ``xt`` is the transposed feature matrix and ``ys`` the node's labels.
+    Scores are sum(c_left^2)/n_left + sum(c_right^2)/n_right from exact int64
+    class counts, taken only between distinct sorted values.  The first
+    maximum in (feature, threshold) order wins, so ties resolve to the lowest
+    feature, then the lowest threshold; it must beat the parent strictly.
+    Features are scored in blocks of about ``SPLIT_BLOCK_CELLS`` node cells.
+    """
+    size = rows.size
+    present = np.flatnonzero(counts)
+    n_left = np.arange(1, size, dtype=np.int64)
+    best_score, best_feat, best_thr = (counts @ counts) / size, -1, 0.0
+    step = max(1, SPLIT_BLOCK_CELLS // size)
+    for f0 in range(0, feats.size, step):
+        block = feats[f0:f0 + step]
+        vals = xt[block[:, None], rows]             # one row per feature
+        order = vals.argsort(axis=1, kind="stable")
+        vals = np.take_along_axis(vals, order, axis=1)
+        labs = ys[order[:, :-1]]
+        ssl = np.zeros(labs.shape, np.int64)
+        ssr = np.zeros(labs.shape, np.int64)
+        for c in present:
+            n_c = (labs == c).cumsum(axis=1)
+            ssl += n_c * n_c
+            n_c = counts[c] - n_c
+            ssr += n_c * n_c
+        score = ssl / n_left + ssr / (size - n_left)
+        # no threshold inside a run of equal values
+        score[~(vals[:, :-1] < vals[:, 1:])] = -np.inf
+        jf, i = divmod(int(score.argmax()), size - 1)   # first maximum
+        if score[jf, i] > best_score:
+            best_score = score[jf, i]
+            best_feat = block[jf]
+            best_thr = 0.5 * (vals[jf, i] + vals[jf, i + 1])
+    return best_feat, best_thr
+
+
+def grow_tree(X, y, n_classes, max_features, min_samples_split, seed):
     """Iteratively grow an unlimited-depth CART/Gini tree.
 
     Splits maximize sum(c_left^2)/n_left + sum(c_right^2)/n_right (equivalent
     to minimizing weighted Gini impurity); strict improvement over the parent
-    is required.  Candidate features are visited in ascending index order and
-    thresholds in ascending value order, so ties resolve to the lowest feature
-    index, then the lowest threshold.  Leaf class is the majority with ties to
-    the lowest class code.
+    is required.  Ties resolve to the lowest feature index, then the lowest
+    threshold.  Leaf class is the majority with ties to the lowest class code.
+    Rows ``<= threshold`` go left.  Nodes are numbered depth-first, left child
+    first.
 
-    Returns (feature, threshold, left, right, leaf_class, n_nodes); feature is
-    -1 at leaves.
+    Returns (feature, threshold, left, right, leaf_class, n_nodes); the arrays
+    have capacity 2n+1, of which the first n_nodes are used, and feature is -1
+    at leaves.
     """
     n, m = X.shape
     cap = 2 * n + 1
@@ -75,117 +111,33 @@ def _grow_tree_impl(X, y, n_classes, max_features, min_samples_split, seed):
     right = np.full(cap, -1, np.int64)
     leaf_class = np.full(cap, -1, np.int64)
 
+    xt = np.ascontiguousarray(X.T, dtype=np.float64)
     idx = np.arange(n)
-    tmp = np.empty(n, np.int64)
-    vals = np.empty(n, np.float64)
-    labs = np.empty(n, np.int64)
-    counts = np.zeros(n_classes, np.int64)
-    left_counts = np.zeros(n_classes, np.int64)
-    feat_buf = np.empty(m, np.int64)
-
-    stack_node = np.empty(cap, np.int64)
-    stack_lo = np.empty(cap, np.int64)
-    stack_hi = np.empty(cap, np.int64)
-    top = 0
-    stack_node[top] = 0
-    stack_lo[top] = 0
-    stack_hi[top] = n
-    top += 1
+    stack = [(0, 0, n)]
     n_nodes = 1
     state = _lcg_seed(seed)
 
-    while top > 0:
-        top -= 1
-        node = stack_node[top]
-        lo = stack_lo[top]
-        hi = stack_hi[top]
+    while stack:
+        node, lo, hi = stack.pop()
+        rows = idx[lo:hi]
         size = hi - lo
-
-        for c in range(n_classes):
-            counts[c] = 0
-        for i in range(lo, hi):
-            counts[y[idx[i]]] += 1
-        majority = 0
-        for c in range(1, n_classes):
-            if counts[c] > counts[majority]:
-                majority = c
-
+        ys = y[rows]
+        counts = np.bincount(ys, minlength=n_classes)
+        majority = int(np.argmax(counts))
         if counts[majority] == size or size < min_samples_split:
             leaf_class[node] = majority
             continue
 
-        # choose candidate features (partial Fisher-Yates, then ascending)
-        if max_features < m:
-            for j in range(m):
-                feat_buf[j] = j
-            k_feats = max_features
-            for j in range(k_feats):
-                state = (state * LCG_MUL) % LCG_MOD
-                pick = j + state % (m - j)
-                t = feat_buf[j]
-                feat_buf[j] = feat_buf[pick]
-                feat_buf[pick] = t
-            for a in range(1, k_feats):
-                key = feat_buf[a]
-                b = a - 1
-                while b >= 0 and feat_buf[b] > key:
-                    feat_buf[b + 1] = feat_buf[b]
-                    b -= 1
-                feat_buf[b + 1] = key
-        else:
-            k_feats = m
-            for j in range(m):
-                feat_buf[j] = j
-
-        parent_ss = np.int64(0)
-        for c in range(n_classes):
-            parent_ss += counts[c] * counts[c]
-        best_score = parent_ss / size
-        best_feat = np.int64(-1)
-        best_thr = 0.0
-
-        for jf in range(k_feats):
-            f = feat_buf[jf]
-            for i in range(size):
-                vals[i] = X[idx[lo + i], f]
-                labs[i] = y[idx[lo + i]]
-            order = np.argsort(vals[:size], kind="mergesort")
-            for c in range(n_classes):
-                left_counts[c] = 0
-            ssl = np.int64(0)
-            ssr = parent_ss
-            n_left = 0
-            for i in range(size - 1):
-                c = labs[order[i]]
-                ssl += 2 * left_counts[c] + 1
-                ssr -= 2 * (counts[c] - left_counts[c]) - 1
-                left_counts[c] += 1
-                n_left += 1
-                v0 = vals[order[i]]
-                v1 = vals[order[i + 1]]
-                if v0 < v1:
-                    score = ssl / n_left + ssr / (size - n_left)
-                    if score > best_score:
-                        best_score = score
-                        best_feat = f
-                        best_thr = 0.5 * (v0 + v1)
-
+        feats, state = _candidate_features(m, max_features, state)
+        best_feat, best_thr = _best_split(xt, ys, rows, feats, counts)
         if best_feat < 0:
             leaf_class[node] = majority
             continue
 
-        # partition node rows: <= threshold goes left
-        a = 0
-        b = size - 1
-        for i in range(lo, hi):
-            if X[idx[i], best_feat] <= best_thr:
-                tmp[a] = idx[i]
-                a += 1
-            else:
-                tmp[b] = idx[i]
-                b -= 1
-        for i in range(size):
-            idx[lo + i] = tmp[i]
+        # left rows keep their order; right rows are stored reversed
+        goes_left = xt[best_feat, rows] <= best_thr
+        n_left = int(np.count_nonzero(goes_left))
+        idx[lo:hi] = np.concatenate((rows[goes_left], rows[~goes_left][::-1]))
 
         lchild = n_nodes
         rchild = n_nodes + 1
@@ -194,71 +146,59 @@ def _grow_tree_impl(X, y, n_classes, max_features, min_samples_split, seed):
         threshold[node] = best_thr
         left[node] = lchild
         right[node] = rchild
-
-        stack_node[top] = rchild
-        stack_lo[top] = lo + a
-        stack_hi[top] = hi
-        top += 1
-        stack_node[top] = lchild
-        stack_lo[top] = lo
-        stack_hi[top] = lo + a
-        top += 1
+        stack.append((rchild, lo + n_left, hi))
+        stack.append((lchild, lo, lo + n_left))
 
     return feature, threshold, left, right, leaf_class, n_nodes
 
 
-def _tree_predict_impl(X, feature, threshold, left, right, leaf_class):
-    n = X.shape[0]
-    out = np.empty(n, np.int64)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if X[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = leaf_class[node]
-    return out
+def tree_predict(X, feature, threshold, left, right, leaf_class):
+    """Leaf class of every row, moving all rows down one tree level at a time."""
+    node = np.zeros(X.shape[0], np.int64)
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = X[active, feature[at]] <= threshold[at]
+        node[active] = np.where(goes_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    return leaf_class[node]
 
 
-def _svm_sgd_impl(X, y, n_classes, epochs, lam, perms):
-    """One-vs-rest hinge-loss Pegasos SGD.
+def svm_sgd(X, y, n_classes, epochs, lam, perms):
+    """One-vs-rest hinge-loss Pegasos SGD, one step per row for all classes.
 
     ``perms`` holds one precomputed sample permutation per epoch so the visit
     order is fixed by the caller's seed.  Step size is 1/(lam * t); the bias
     behaves like a weight on a constant feature (regularized), which keeps the
     huge early steps from permanently skewing it.
+
+    The bias is kept as column 0 of one weight matrix and the rows get a
+    leading 1.0, so one multiply, decay and update cover both.  Each margin is
+    accumulated left to right, b first, as a scalar loop would sum it; only
+    the classes whose margin is violated are updated.
     """
     n, d = X.shape
-    w = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
+    xa = np.ones((n, d + 1))
+    xa[:, 1:] = X
+    target = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
+    wb = np.zeros((n_classes, d + 1))
+    prod = np.empty_like(wb)
+    margin = prod[:, -1]
     t = 0
     for e in range(epochs):
-        for ii in range(n):
-            i = perms[e, ii]
+        for i in perms[e].tolist():
             t += 1
             eta = 1.0 / (lam * t)
             decay = 1.0 - 1.0 / t      # = 1 - eta * lam
-            for c in range(n_classes):
-                target = 1.0 if y[i] == c else -1.0
-                s = b[c]
-                for j in range(d):
-                    s += w[c, j] * X[i, j]
-                for j in range(d):
-                    w[c, j] *= decay
-                b[c] *= decay
-                if target * s < 1.0:
-                    step = eta * target
-                    for j in range(d):
-                        w[c, j] += step * X[i, j]
-                    b[c] += step
-    return w, b
-
-
-grow_tree = _maybe_jit(_grow_tree_impl)
-tree_predict = _maybe_jit(_tree_predict_impl)
-svm_sgd = _maybe_jit(_svm_sgd_impl)
+            x = xa[i]
+            tc = target[i]
+            np.multiply(wb, x, out=prod)
+            np.add.accumulate(prod, axis=1, out=prod)
+            wb *= decay
+            violated = tc * margin < 1.0
+            np.add(wb, (eta * tc)[:, None] * x, out=wb, where=violated[:, None])
+    return np.ascontiguousarray(wb[:, 1:]), wb[:, 0].copy()
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

@@ -154,7 +154,8 @@ def encode_categoricals(x: Dataset, enc: CategoricalEncoder | None = None
     """Turn the dataset into a fully numeric matrix, ordinal-coding categoricals.
 
     Columns keep schema order.  An unseen token at apply time maps to the
-    reserved code equal to the fitted table size (logged as a warning).
+    reserved code equal to the fitted table size; each column with unseen
+    tokens logs one warning with their count and a few examples.
     """
     cat_specs = x.specs(ColumnKind.CATEGORICAL)
     if enc is None:
@@ -180,13 +181,18 @@ def encode_categoricals(x: Dataset, enc: CategoricalEncoder | None = None
             table = enc.tables[spec.name]
             reserved = len(table)
             codes = np.empty(len(col), dtype=np.float64)
+            unseen = []
             for i, tok in enumerate(col):
                 code = table.get(str(tok))
                 if code is None:
-                    log.warning("column %r: unseen token %r mapped to reserved code %d",
-                                spec.name, tok, reserved)
+                    unseen.append(str(tok))
                     code = reserved
                 codes[i] = code
+            if unseen:
+                examples = list(dict.fromkeys(unseen))[:3]
+                log.warning("column %r: %d unseen cell(s) mapped to reserved code %d, "
+                            "e.g. %s", spec.name, len(unseen), reserved,
+                            ", ".join(map(repr, examples)))
             out[:, j] = codes
         else:
             out[:, j] = col

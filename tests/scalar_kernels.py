@@ -1,0 +1,220 @@
+"""Scalar reference kernels: the oracle for ``idsfx.kernels``.
+
+These are the element-by-element loops that ``idsfx.kernels`` replaced with
+vectorized numpy code.  The arithmetic of every step is the same in both, so
+``tests/test_kernels.py`` requires their outputs to be bit-identical.  Keep
+these bodies as they are; they are the definition the fast kernels must meet.
+"""
+
+import numpy as np
+
+LCG_MOD = 2147483647   # 2^31 - 1 (Park-Miller)
+LCG_MUL = 48271
+
+
+def _lcg_seed(seed):
+    s = seed % (LCG_MOD - 1)
+    if s < 0:
+        s += LCG_MOD - 1
+    return s + 1  # state in [1, LCG_MOD - 1]
+
+
+def _grow_tree_impl(X, y, n_classes, max_features, min_samples_split, seed):
+    """Iteratively grow an unlimited-depth CART/Gini tree.
+
+    Splits maximize sum(c_left^2)/n_left + sum(c_right^2)/n_right (equivalent
+    to minimizing weighted Gini impurity); strict improvement over the parent
+    is required.  Candidate features are visited in ascending index order and
+    thresholds in ascending value order, so ties resolve to the lowest feature
+    index, then the lowest threshold.  Leaf class is the majority with ties to
+    the lowest class code.
+
+    Returns (feature, threshold, left, right, leaf_class, n_nodes); feature is
+    -1 at leaves.
+    """
+    n, m = X.shape
+    cap = 2 * n + 1
+    feature = np.full(cap, -1, np.int64)
+    threshold = np.zeros(cap, np.float64)
+    left = np.full(cap, -1, np.int64)
+    right = np.full(cap, -1, np.int64)
+    leaf_class = np.full(cap, -1, np.int64)
+
+    idx = np.arange(n)
+    tmp = np.empty(n, np.int64)
+    vals = np.empty(n, np.float64)
+    labs = np.empty(n, np.int64)
+    counts = np.zeros(n_classes, np.int64)
+    left_counts = np.zeros(n_classes, np.int64)
+    feat_buf = np.empty(m, np.int64)
+
+    stack_node = np.empty(cap, np.int64)
+    stack_lo = np.empty(cap, np.int64)
+    stack_hi = np.empty(cap, np.int64)
+    top = 0
+    stack_node[top] = 0
+    stack_lo[top] = 0
+    stack_hi[top] = n
+    top += 1
+    n_nodes = 1
+    state = _lcg_seed(seed)
+
+    while top > 0:
+        top -= 1
+        node = stack_node[top]
+        lo = stack_lo[top]
+        hi = stack_hi[top]
+        size = hi - lo
+
+        for c in range(n_classes):
+            counts[c] = 0
+        for i in range(lo, hi):
+            counts[y[idx[i]]] += 1
+        majority = 0
+        for c in range(1, n_classes):
+            if counts[c] > counts[majority]:
+                majority = c
+
+        if counts[majority] == size or size < min_samples_split:
+            leaf_class[node] = majority
+            continue
+
+        # choose candidate features (partial Fisher-Yates, then ascending)
+        if max_features < m:
+            for j in range(m):
+                feat_buf[j] = j
+            k_feats = max_features
+            for j in range(k_feats):
+                state = (state * LCG_MUL) % LCG_MOD
+                pick = j + state % (m - j)
+                t = feat_buf[j]
+                feat_buf[j] = feat_buf[pick]
+                feat_buf[pick] = t
+            for a in range(1, k_feats):
+                key = feat_buf[a]
+                b = a - 1
+                while b >= 0 and feat_buf[b] > key:
+                    feat_buf[b + 1] = feat_buf[b]
+                    b -= 1
+                feat_buf[b + 1] = key
+        else:
+            k_feats = m
+            for j in range(m):
+                feat_buf[j] = j
+
+        parent_ss = np.int64(0)
+        for c in range(n_classes):
+            parent_ss += counts[c] * counts[c]
+        best_score = parent_ss / size
+        best_feat = np.int64(-1)
+        best_thr = 0.0
+
+        for jf in range(k_feats):
+            f = feat_buf[jf]
+            for i in range(size):
+                vals[i] = X[idx[lo + i], f]
+                labs[i] = y[idx[lo + i]]
+            order = np.argsort(vals[:size], kind="mergesort")
+            for c in range(n_classes):
+                left_counts[c] = 0
+            ssl = np.int64(0)
+            ssr = parent_ss
+            n_left = 0
+            for i in range(size - 1):
+                c = labs[order[i]]
+                ssl += 2 * left_counts[c] + 1
+                ssr -= 2 * (counts[c] - left_counts[c]) - 1
+                left_counts[c] += 1
+                n_left += 1
+                v0 = vals[order[i]]
+                v1 = vals[order[i + 1]]
+                if v0 < v1:
+                    score = ssl / n_left + ssr / (size - n_left)
+                    if score > best_score:
+                        best_score = score
+                        best_feat = f
+                        best_thr = 0.5 * (v0 + v1)
+
+        if best_feat < 0:
+            leaf_class[node] = majority
+            continue
+
+        # partition node rows: <= threshold goes left
+        a = 0
+        b = size - 1
+        for i in range(lo, hi):
+            if X[idx[i], best_feat] <= best_thr:
+                tmp[a] = idx[i]
+                a += 1
+            else:
+                tmp[b] = idx[i]
+                b -= 1
+        for i in range(size):
+            idx[lo + i] = tmp[i]
+
+        lchild = n_nodes
+        rchild = n_nodes + 1
+        n_nodes += 2
+        feature[node] = best_feat
+        threshold[node] = best_thr
+        left[node] = lchild
+        right[node] = rchild
+
+        stack_node[top] = rchild
+        stack_lo[top] = lo + a
+        stack_hi[top] = hi
+        top += 1
+        stack_node[top] = lchild
+        stack_lo[top] = lo
+        stack_hi[top] = lo + a
+        top += 1
+
+    return feature, threshold, left, right, leaf_class, n_nodes
+
+
+def _tree_predict_impl(X, feature, threshold, left, right, leaf_class):
+    n = X.shape[0]
+    out = np.empty(n, np.int64)
+    for i in range(n):
+        node = 0
+        while feature[node] >= 0:
+            if X[i, feature[node]] <= threshold[node]:
+                node = left[node]
+            else:
+                node = right[node]
+        out[i] = leaf_class[node]
+    return out
+
+
+def _svm_sgd_impl(X, y, n_classes, epochs, lam, perms):
+    """One-vs-rest hinge-loss Pegasos SGD.
+
+    ``perms`` holds one precomputed sample permutation per epoch so the visit
+    order is fixed by the caller's seed.  Step size is 1/(lam * t); the bias
+    behaves like a weight on a constant feature (regularized), which keeps the
+    huge early steps from permanently skewing it.
+    """
+    n, d = X.shape
+    w = np.zeros((n_classes, d))
+    b = np.zeros(n_classes)
+    t = 0
+    for e in range(epochs):
+        for ii in range(n):
+            i = perms[e, ii]
+            t += 1
+            eta = 1.0 / (lam * t)
+            decay = 1.0 - 1.0 / t      # = 1 - eta * lam
+            for c in range(n_classes):
+                target = 1.0 if y[i] == c else -1.0
+                s = b[c]
+                for j in range(d):
+                    s += w[c, j] * X[i, j]
+                for j in range(d):
+                    w[c, j] *= decay
+                b[c] *= decay
+                if target * s < 1.0:
+                    step = eta * target
+                    for j in range(d):
+                        w[c, j] += step * X[i, j]
+                    b[c] += step
+    return w, b

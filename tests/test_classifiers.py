@@ -191,11 +191,15 @@ class TestTrees:
         expect = np.argmax(votes, axis=1)
         assert np.array_equal(predict(model, q), model.classes[expect])
 
-    def test_forest_survives_rare_class_bootstrap(self):
+    def test_forest_survives_rare_class_bootstrap(self, caplog):
         rng = np.random.default_rng(4)
         x = rng.random((60, 3))
         y = np.zeros(60, dtype=np.int64)
         y[:30] = 1
         y[0] = 2  # singleton class will vanish from most bootstrap samples
-        model = train(ClassifierSpec("random_forest", {"n_trees": 10}, seed=1), x, y)
+        with caplog.at_level("WARNING", logger="idsfx.classifiers"):
+            model = train(ClassifierSpec("random_forest", {"n_trees": 10}, seed=1), x, y)
         assert predict(model, x).shape == (60,)
+        # one line for the forest, however many of its trees lost the class
+        assert len(caplog.records) == 1
+        assert "of 10 trees lost class(es)" in caplog.records[0].getMessage()

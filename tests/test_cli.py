@@ -1,6 +1,8 @@
 import csv
 import json
+import logging
 
+import numpy as np
 import pytest
 
 from idsfx.cli import main
@@ -34,6 +36,14 @@ class TestInspect:
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["inspect", "--dataset", str(tmp_path / "nope.csv")]) == 1
+
+    def test_exit_code_follows_error_type_not_message(self, tmp_path, capsys):
+        # a missing file is a runtime error even when its name reads "empty dataset"
+        assert main(["inspect", "--dataset", str(tmp_path / "empty dataset.csv")]) == 1
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("Flow ID, Label\n")
+        assert main(["inspect", "--dataset", str(header_only),
+                     "--profile", "cicids2017"]) == 2
 
 
 class TestFit:
@@ -95,6 +105,29 @@ class TestEvaluate:
         rows = list(csv.reader((a / "report.csv").open()))
         assert len(rows) == 13  # header + 6 classifiers x 2 variants
         assert json.loads((a / "timings.json").read_text())
+
+
+    def test_log_lines_bounded(self, tmp_path, caplog):
+        """Many unseen tokens and a class that most bootstrap samples miss
+        still log one line per event kind: per column per transform, and per
+        forest, besides one accuracy line per classifier and variant."""
+        rng = np.random.default_rng(5)
+        d = make_blob_dataset(n_rows=120, n_numeric=4, n_classes=3, seed=2)
+        d.columns["proto"] = np.array([f"tok{i}" for i in rng.integers(0, 60, 120)],
+                                      dtype=object)
+        labels = np.where(d.columns["label"] == "class_2", "class_0", d.columns["label"])
+        labels[-2:] = "class_2"                        # a class of two rows
+        d.columns["label"] = labels
+        path = write_dataset_csv(d, tmp_path / "rare.csv")
+        caplog.set_level(logging.INFO, logger="idsfx")
+        assert main(["evaluate", *_flags(path, tmp_path / "out")]) == 0
+        kinds = [(r.name, r.levelname) for r in caplog.records]
+        assert kinds.count(("idsfx.runner", "INFO")) == 12
+        assert kinds.count(("idsfx.preprocess", "WARNING")) == 2   # baseline, pipeline
+        assert kinds.count(("idsfx.classifiers", "WARNING")) == 2  # one per forest
+        assert len(kinds) == 16
+        unseen = [r.getMessage() for r in caplog.records if r.name == "idsfx.preprocess"]
+        assert all(", e.g. " in m and m.count("'tok") <= 4 for m in unseen)
 
 
 class TestCorrAndChi2:

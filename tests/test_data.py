@@ -3,7 +3,7 @@ import pytest
 
 from idsfx.data import (KDD_FEATURES, ColumnKind, Dataset, Profile, load_csv,
                         split_xy, train_test_split)
-from idsfx.errors import ConfigError, DatasetError, SchemaError
+from idsfx.errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
 
 from conftest import make_blob_dataset
 
@@ -90,6 +90,16 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetError, match="empty dataset"):
             load_csv(_write(tmp_path, "e.csv", "\n"), "generic")
+
+    @pytest.mark.parametrize("text, profile", [
+        (" \n\n", "generic"),                          # blank bytes
+        ("\x1c\n", "generic"),                         # lines but no cells
+        (",".join(KDD_FEATURES) + "\n", "nsl-kdd"),     # header only
+        ("Flow ID, Label\n", "cicids2017"),             # header only
+    ])
+    def test_every_empty_input_raises_empty_dataset_error(self, tmp_path, text, profile):
+        with pytest.raises(EmptyDatasetError, match="empty dataset"):
+            load_csv(_write(tmp_path, "e.csv", text), profile)
 
     def test_non_utf8_reports_offset(self, tmp_path):
         p = tmp_path / "b.csv"

@@ -1,16 +1,11 @@
 """Kernel-level checks: split-search correctness against a brute-force
-oracle, determinism, and bit-identical behavior of the numba and numpy
-backends (the fallback runs in a subprocess with IDSFX_BACKEND=numpy)."""
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+oracle, determinism, and bit-identical agreement of the vectorized kernels
+with the scalar reference loops in ``scalar_kernels.py``."""
 
 import numpy as np
 import pytest
 
+import scalar_kernels
 from idsfx import kernels
 
 
@@ -109,47 +104,104 @@ class TestSvmKernel:
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
 
 
-_BACKEND_SCRIPT = """
-import json, sys
-import numpy as np
-from idsfx import kernels
-assert kernels.backend_name() == "numpy", kernels.backend_name()
-data = np.load(sys.argv[1])
-arrays = kernels.grow_tree(data["X"], data["y"], int(data["n_classes"]),
-                           int(data["max_features"]), 2, int(data["seed"]))
-w, b = kernels.svm_sgd(data["Xs"], data["ys"], int(data["k"]), int(data["epochs"]),
-                       1e-3, data["perms"])
-np.savez(sys.argv[2], feature=arrays[0][:arrays[5]], threshold=arrays[1][:arrays[5]],
-         left=arrays[2][:arrays[5]], right=arrays[3][:arrays[5]],
-         leaf=arrays[4][:arrays[5]], w=w, b=b)
-"""
+# Each case index picks one degenerate shape (case % len(SHAPES)) and a seed.
+SHAPES = ("random", "rounded", "constant_columns", "single_class",
+          "missing_classes", "min_split_above_n", "two_rows", "one_feature",
+          "all_constant", "one_epoch")
+N_CASES = 60
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                    reason="numba backend unavailable; nothing to compare")
-def test_backends_bit_identical(tmp_path):
-    rng = np.random.default_rng(11)
-    X = np.ascontiguousarray(rng.random((80, 6)))
-    y = rng.integers(0, 3, 80).astype(np.int64)
-    Xs = np.ascontiguousarray(rng.random((25, 3)))
-    ys = rng.integers(0, 2, 25).astype(np.int64)
-    perms = np.vstack([rng.permutation(25) for _ in range(8)]).astype(np.int64)
-    np.savez(tmp_path / "in.npz", X=X, y=y, n_classes=3, max_features=2, seed=7,
-             Xs=Xs, ys=ys, k=2, epochs=8, perms=perms)
+def _case(case):
+    """A seeded kernel input for one case: (shape, X, y, n_classes, rng)."""
+    shape = SHAPES[case % len(SHAPES)]
+    rng = np.random.default_rng(1000 + case)
+    n = 2 if shape == "two_rows" else int(rng.integers(3, 70))
+    m = 1 if shape == "one_feature" else int(rng.integers(2, 7))
+    n_classes = int(rng.integers(2, 6))
+    X = rng.random((n, m))
+    y = rng.integers(0, n_classes, n)
+    if shape == "rounded":
+        X = np.round(X * 3) / 3
+    elif shape == "constant_columns":
+        X[:, rng.random(m) < 0.5] = 0.25
+        X[:, 0] = 1.0
+    elif shape == "all_constant":
+        X[:] = 0.5
+    elif shape == "single_class":
+        y[:] = n_classes - 1
+    elif shape == "missing_classes":
+        # a bootstrap sample that lost classes: codes 0 and k-1 only
+        n_classes += 2
+        y = np.where(rng.random(n) < 0.5, 0, n_classes - 1)
+    elif shape == "two_rows":
+        y = np.array([0, 1])
+    return shape, X, y, n_classes, rng
 
-    env = dict(os.environ, IDSFX_BACKEND="numpy")
-    script = tmp_path / "run_fallback.py"
-    script.write_text(_BACKEND_SCRIPT)
-    subprocess.run([sys.executable, str(script), str(tmp_path / "in.npz"),
-                    str(tmp_path / "out.npz")], env=env, check=True)
-    got = np.load(tmp_path / "out.npz")
 
-    arrays = kernels.grow_tree(X, y, 3, 2, 2, 7)
-    n = arrays[5]
-    assert np.array_equal(got["feature"], arrays[0][:n])
-    assert np.array_equal(got["threshold"], arrays[1][:n])
-    assert np.array_equal(got["left"], arrays[2][:n])
-    assert np.array_equal(got["leaf"], arrays[4][:n])
-    w, b = kernels.svm_sgd(Xs, ys, 2, 8, 1e-3, perms)
-    assert np.array_equal(got["w"], w)
-    assert np.array_equal(got["b"], b)
+def _assert_same_tree(got, want):
+    assert got[5] == want[5]
+    for a, b in zip(got[:5], want[:5]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_tree_kernels_match_scalar_oracle(case):
+    shape, X, y, n_classes, rng = _case(case)
+    n, m = X.shape
+    max_features = 1 + case % m                     # every value in 1..m
+    min_split = n + 1 if shape == "min_split_above_n" else int(rng.integers(2, 5))
+    seed = int(rng.integers(0, kernels.LCG_MOD))
+    got = kernels.grow_tree(X, y, n_classes, max_features, min_split, seed)
+    want = scalar_kernels._grow_tree_impl(X, y, n_classes, max_features, min_split,
+                                          seed)
+    _assert_same_tree(got, want)
+
+    # training rows, fresh rows, and rows exactly on the tree's thresholds
+    tree = [a[:got[5]] for a in got[:5]]
+    cuts = np.append(tree[1][tree[0] >= 0], 0.5)
+    Xq = np.vstack([X, rng.random((25, m)), rng.choice(cuts, (25, m))])
+    pred = kernels.tree_predict(Xq, *tree)
+    assert np.array_equal(pred, scalar_kernels._tree_predict_impl(Xq, *tree))
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_svm_kernel_matches_scalar_oracle(case):
+    shape, X, y, n_classes, rng = _case(case)
+    if shape != "one_feature":
+        # widths up to NSL-KDD's 41 features
+        X = np.hstack([X, rng.random((len(y), int(rng.integers(0, 40))))])
+    X = (X - 0.5) * 4.0                             # both signs
+    epochs = 1 if shape == "one_epoch" else int(rng.integers(1, 6))
+    lam = float(10.0 ** rng.uniform(-5, -1))
+    perms = np.vstack([rng.permutation(len(y)) for _ in range(epochs)])
+    w, b = kernels.svm_sgd(X, y, n_classes, epochs, lam, perms)
+    w0, b0 = scalar_kernels._svm_sgd_impl(X, y, n_classes, epochs, lam, perms)
+    assert w.shape == w0.shape and b.shape == b0.shape
+    assert np.array_equal(w, w0)
+    assert np.array_equal(b, b0)
+
+
+def test_forest_trees_match_scalar_oracle():
+    """The forest's calls: bootstrap rows, sqrt(m) candidate features and
+    LCG seeds drawn as in the classifier, on values with many ties."""
+    rng = np.random.default_rng(7)
+    X = np.round(rng.random((80, 9)) * 4) / 4
+    y = rng.integers(0, 4, 80)
+    for _ in range(10):
+        boot = rng.integers(0, 80, 80)
+        seed = int(rng.integers(1, kernels.LCG_MOD - 1))
+        Xb, yb = np.ascontiguousarray(X[boot]), y[boot]
+        _assert_same_tree(kernels.grow_tree(Xb, yb, 4, 3, 2, seed),
+                          scalar_kernels._grow_tree_impl(Xb, yb, 4, 3, 2, seed))
+
+
+def test_split_search_blocks_match_scalar_oracle(monkeypatch):
+    """Nodes wider than one block of features score the features in several
+    blocks; the winner must still be the first maximum over all of them."""
+    monkeypatch.setattr(kernels, "SPLIT_BLOCK_CELLS", 40)
+    rng = np.random.default_rng(9)
+    X = np.round(rng.random((60, 8)) * 2) / 2     # many equal scores across features
+    y = rng.integers(0, 3, 60)
+    _assert_same_tree(kernels.grow_tree(X, y, 3, 8, 2, 0),
+                      scalar_kernels._grow_tree_impl(X, y, 3, 8, 2, 0))

@@ -150,6 +150,17 @@ class TestEncodeCategoricals:
         fm, _ = encode_categoricals(self._cat_dataset(["sctp"]), enc)
         assert fm.values[0, 0] == 3.0
 
+    def test_unseen_cells_log_one_line_per_column(self, caplog):
+        _, enc = encode_categoricals(self._cat_dataset(["icmp", "tcp", "udp"]))
+        tokens = ["sctp", "tcp", "gre"] * 300 + [f"x{i}" for i in range(50)]
+        with caplog.at_level("WARNING", logger="idsfx.preprocess"):
+            fm, _ = encode_categoricals(self._cat_dataset(tokens), enc)
+        assert (fm.values[:, 0] == 3.0).sum() == 650
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage() == (
+            "column 'proto': 650 unseen cell(s) mapped to reserved code 3, "
+            "e.g. 'sctp', 'gre', 'x0'")
+
     def test_column_mismatch(self):
         _, enc = encode_categoricals(self._cat_dataset(["a"]))
         other = Dataset(schema=[ColumnSpec("flag", ColumnKind.CATEGORICAL)],
