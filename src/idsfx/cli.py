@@ -169,8 +169,7 @@ def cmd_evaluate(args) -> int:
     d = _load(cfg)
     report, fp, timings = run_evaluation(
         d, cfg.pipeline, algorithms=cfg.classifiers,
-        test_fraction=cfg.test_fraction, seed=cfg.seed,
-        dataset_id=Path(cfg.dataset).name)
+        test_fraction=cfg.test_fraction, dataset_id=Path(cfg.dataset).name)
     pipeline_save(fp, out / "pipeline.json")
     export_report(report, out / "report.csv", fmt="csv")
     export_report(report, out / "report.json", fmt="json")

@@ -91,10 +91,6 @@ class Dataset:
         labels = self.specs(ColumnKind.LABEL)
         return labels[0].name if labels else None
 
-    def feature_names(self) -> list[str]:
-        return [s.name for s in self.schema
-                if s.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)]
-
     def subset(self, row_idx: np.ndarray) -> "Dataset":
         cols = {s.name: self.columns[s.name][row_idx] for s in self.schema}
         return Dataset(schema=list(self.schema), columns=cols)
@@ -311,8 +307,9 @@ def _labels_of(d: Dataset) -> np.ndarray | None:
 def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test partition, stratified by label when possible.
 
-    Stratification requires every class to have at least 2 members; otherwise
-    a plain seeded shuffle is used and a warning is logged.
+    Each class with at least 2 members keeps a row on each side; a class with
+    one member stays in train.  Without labels, or when no class has 2
+    members, a plain seeded shuffle is used.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be in (0,1), got {test_fraction}")
@@ -325,9 +322,11 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     stratify = False
     if labels is not None:
         _, counts = np.unique(labels.astype(str), return_counts=True)
-        stratify = bool(counts.min() >= 2)
+        stratify = bool(counts.max() >= 2)
         if not stratify:
-            log.warning("some class has fewer than 2 members; falling back to plain shuffle")
+            log.warning("no class has 2 members; falling back to plain shuffle")
+        elif (counts == 1).any():
+            log.warning("%d classes with one member kept in train", int((counts == 1).sum()))
 
     if stratify:
         test_parts = []

@@ -76,7 +76,6 @@ class EvalReport:
     # (classifier, variant) -> accuracy; variants are "baseline" / "extracted"
     accuracies: dict[str, dict[str, float]] = field(default_factory=dict)
     confusions: dict[str, dict[str, list[list[int]]]] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -84,14 +83,12 @@ class EvalReport:
             "config": self.config,
             "accuracies": self.accuracies,
             "confusions": self.confusions,
-            "timings": self.timings,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
         return cls(dataset_id=d["dataset_id"], config=d["config"],
-                   accuracies=d["accuracies"], confusions=d["confusions"],
-                   timings=d["timings"])
+                   accuracies=d["accuracies"], confusions=d["confusions"])
 
 
 def _fmt(v: float) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +23,33 @@ from .data import ColumnKind, Dataset, split_xy
 from .errors import ConfigError, IdsfxError, IntegrityError, PipelineError, SchemaError, VersionError
 from .matrix import FeatureMatrix
 from .nmf import NmfConfig, NmfModel, nmf_fit, nmf_transform
-from .preprocess import (CategoricalEncoder, ImputeModel, LabelEncoder,
-                         TfidfModel, describe, drop_near_zero_mean,
+from .preprocess import (DEFAULT_DROP_THRESHOLD, CategoricalEncoder, ImputeModel,
+                         LabelEncoder, TfidfModel, describe, drop_near_zero_mean,
                          encode_categoricals, encode_labels, impute_apply,
                          impute_fit, tfidf_apply, tfidf_fit)
 from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "1.1"
+
+_NMF_KEYS = ("init", "max_iter", "tol")
 
 
 @dataclass
 class PipelineConfig:
+    """Each setting has one field: ``u`` is also the NMF rank and ``seed`` the
+    NMF seed; the ``nmf_*`` solver settings persist under the ``"nmf"`` key."""
     u: int = 30                    # NMF component count
     v: int = 20                    # univariate-selected feature count
-    drop_threshold: float = 0.01
+    drop_threshold: float = DEFAULT_DROP_THRESHOLD
     tfidf_enabled: bool = True
-    nmf: NmfConfig = field(default_factory=NmfConfig)
     seed: int = 0
+    nmf_init: str = NmfConfig.init
+    nmf_max_iter: int = NmfConfig.max_iter
+    nmf_tol: float = NmfConfig.tol
+
+    def nmf_config(self) -> NmfConfig:
+        return NmfConfig(r=self.u, init=self.nmf_init, max_iter=self.nmf_max_iter,
+                         tol=self.nmf_tol, seed=self.seed)
 
     def validate(self) -> None:
         if self.u < 1:
@@ -48,26 +58,21 @@ class PipelineConfig:
             raise ConfigError(f"V must satisfy 1 <= V <= U, got V={self.v}, U={self.u}")
         if self.drop_threshold < 0:
             raise ConfigError("drop_threshold must be >= 0")
+        self.nmf_config().validate()
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u, "v": self.v, "drop_threshold": self.drop_threshold,
-            "tfidf_enabled": self.tfidf_enabled, "seed": self.seed,
-            "nmf": {"r": self.nmf.r, "init": self.nmf.init,
-                    "max_iter": self.nmf.max_iter, "tol": self.nmf.tol,
-                    "seed": self.nmf.seed},
-        }
+        d = asdict(self)
+        d["nmf"] = {key: d.pop("nmf_" + key) for key in _NMF_KEYS}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        """Missing keys take the defaults; 1.0 files' ``nmf.r``/``nmf.seed`` are ignored."""
+        names = {f.name for f in fields(cls)}
+        kw = {k: v for k, v in d.items() if k in names and not k.startswith("nmf_")}
         nmf = d.get("nmf", {})
-        return cls(u=d.get("u", 30), v=d.get("v", 20),
-                   drop_threshold=d.get("drop_threshold", 0.01),
-                   tfidf_enabled=d.get("tfidf_enabled", True),
-                   seed=d.get("seed", 0),
-                   nmf=NmfConfig(r=nmf.get("r", 30), init=nmf.get("init", "random"),
-                                 max_iter=nmf.get("max_iter", 200),
-                                 tol=nmf.get("tol", 1e-4), seed=nmf.get("seed", 0)))
+        kw.update({"nmf_" + key: nmf[key] for key in _NMF_KEYS if key in nmf})
+        return cls(**kw)
 
 
 def _schema_pairs(x: Dataset) -> list[list[str]]:
@@ -131,8 +136,7 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
             tfidf = tfidf_fit(fm)
             fm = tfidf_apply(tfidf, fm)
     with _stage("nmf"):
-        ncfg = replace(cfg.nmf, r=cfg.u, seed=cfg.seed)
-        model = nmf_fit(fm, ncfg)
+        model = nmf_fit(fm, cfg.nmf_config())
         w = nmf_transform(model, fm)
     with _stage("chi2_select"):
         scores = chi2_scores(w, codes)
@@ -233,7 +237,7 @@ def _from_doc(doc: dict) -> FittedPipeline:
     nmf = NmfModel(w=_matrix_from_doc(nd["w"]), h=_matrix_from_doc(nd["h"]),
                    r=nd["r"], objective_trace=list(nd["objective_trace"]),
                    iterations_run=nd["iterations_run"], converged=nd["converged"],
-                   config=cfg.nmf)
+                   config=cfg.nmf_config())
     cd = st["chi2"]
     chi2 = Chi2Report(scores=np.array(cd["scores"]),
                       ranking=np.array(cd["ranking"], dtype=np.int64),

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import classifiers as clf
 from .data import Dataset, split_xy, train_test_split
+from .errors import ConfigError
 from .evaluate import EvalReport, accuracy, confusion
 from .matrix import FeatureMatrix
 from .pipeline import FittedPipeline, PipelineConfig, pipeline_fit, pipeline_transform
@@ -42,24 +43,23 @@ def baseline_transform(bm: BaselineModel, x: Dataset) -> FeatureMatrix:
 
 def run_evaluation(d: Dataset, cfg: PipelineConfig,
                    algorithms: list[str] | None = None,
-                   test_fraction: float = 0.25, seed: int = 0,
-                   dataset_id: str = "dataset"
+                   test_fraction: float = 0.25, dataset_id: str = "dataset"
                    ) -> tuple[EvalReport, FittedPipeline, dict[str, float]]:
     """Train/score every classifier twice (baseline vs extracted features).
 
-    Returns the report, the fitted pipeline and the wall-clock timings.
+    The split and the classifiers are seeded with ``cfg.seed``.  Returns the
+    report, the fitted pipeline and the wall-clock timings.
     Timings live outside the report so report files stay byte-reproducible.
     """
     algorithms = sorted(algorithms if algorithms is not None else clf.ALGORITHMS)
     for a in algorithms:
         if a not in clf.ALGORITHMS:
-            from .errors import ConfigError
             raise ConfigError(f"unknown classifier {a!r}")
     cfg.validate()
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    train_d, test_d = train_test_split(d, test_fraction, seed)
+    train_d, test_d = train_test_split(d, test_fraction, cfg.seed)
     x_train, y_train_v = split_xy(train_d)
     x_test, y_test_v = split_xy(test_d)
 
@@ -86,7 +86,7 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
         for variant in sorted(variants):
             xtr, xte = variants[variant]
             t0 = time.perf_counter()
-            model = clf.train(clf.ClassifierSpec(algorithm=algo, seed=seed),
+            model = clf.train(clf.ClassifierSpec(algorithm=algo, seed=cfg.seed),
                               xtr, y_train)
             pred = clf.predict(model, xte)
             timings[f"{algo}/{variant}"] = time.perf_counter() - t0

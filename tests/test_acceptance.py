@@ -111,7 +111,7 @@ def test_criterion_4_end_to_end_delta():
         assert n_features == 41
         cfg = PipelineConfig(u=30, v=20, seed=7)
         t0 = time.perf_counter()
-        report, fp, _ = run_evaluation(d, cfg, test_fraction=0.25, seed=7,
+        report, fp, _ = run_evaluation(d, cfg, test_fraction=0.25,
                                        dataset_id=path.name)
         elapsed = time.perf_counter() - t0
         assert fp.chi2.k == 20

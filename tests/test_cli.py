@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idsfx.cli import main
+from idsfx.pipeline import pipeline_load
 from tests.conftest import make_blob_dataset, write_dataset_csv
 
 
@@ -80,6 +81,30 @@ class TestFit:
         cfg.write_text("{not json")
         assert main(["fit", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("nmf", [{"init": "bogus"}, {"max_iter": 0}, {"tol": -1.0}])
+    def test_bad_nmf_setting_exit_2_before_reading_data(self, blob_csv, tmp_path,
+                                                        monkeypatch, nmf):
+        def no_read(*args):
+            raise AssertionError("dataset read despite a bad config")
+        monkeypatch.setattr("idsfx.cli.load_csv", no_read)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), "pipeline": {"nmf": nmf}}))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+
+    def test_one_rank_and_one_seed_in_every_record(self, blob_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": str(blob_csv), "seed": 9,
+            "pipeline": {"u": 4, "v": 2, "nmf": {"r": 2, "seed": 99, "max_iter": 50}}}))
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        echoed = json.loads((out / "run_config.json").read_text())["pipeline"]
+        assert echoed["nmf"] == {"init": "random", "max_iter": 50, "tol": 1e-4}
+        assert (echoed["u"], echoed["seed"]) == (4, 9)
+        fp = pipeline_load(out / "pipeline.json")
+        assert fp.config.to_dict() == echoed
+        assert (fp.nmf.config.r, fp.nmf.config.seed, fp.nmf.r) == (4, 9, 4)
+
 
 class TestTransform:
     def test_round_trip(self, blob_csv, tmp_path):
@@ -105,6 +130,15 @@ class TestEvaluate:
         rows = list(csv.reader((a / "report.csv").open()))
         assert len(rows) == 13  # header + 6 classifiers x 2 variants
         assert json.loads((a / "timings.json").read_text())
+
+    def test_report_json_has_no_second_rank_seed_or_timings(self, blob_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classifiers": ["gaussian_nb"]}))
+        assert main(["evaluate", *_flags(blob_csv, tmp_path), "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "timings" not in report
+        assert report["config"]["nmf"] == {"init": "random", "max_iter": 200, "tol": 1e-4}
+        assert (report["config"]["u"], report["config"]["seed"]) == (4, 11)
 
 
     def test_log_lines_bounded(self, tmp_path, caplog):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from idsfx.data import (KDD_FEATURES, ColumnKind, Dataset, Profile, load_csv,
-                        split_xy, train_test_split)
+from idsfx.data import (KDD_FEATURES, ColumnKind, ColumnSpec, Dataset, Profile,
+                        load_csv, split_xy, train_test_split)
 from idsfx.errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
 
 from conftest import make_blob_dataset
@@ -157,6 +157,22 @@ class TestSplitXy:
             split_xy(x)
 
 
+def _skewed_labels(seed, singletons):
+    """A shuffled label column: 2-6 classes of 2 to 60 rows (skewed sizes),
+    plus the given number of one-member classes."""
+    rng = np.random.default_rng(seed)
+    counts = [int(c) for c in rng.geometric(0.08, rng.integers(2, 7)).clip(2, 60)]
+    counts += [1] * singletons
+    labels = np.repeat([f"c{i}" for i in range(len(counts))], counts).astype(object)
+    return rng.permutation(labels)
+
+
+def _labelled_rows(labels):
+    return Dataset(schema=[ColumnSpec("row", ColumnKind.NUMERIC),
+                           ColumnSpec("label", ColumnKind.LABEL)],
+                   columns={"row": np.arange(labels.size), "label": labels})
+
+
 class TestTrainTestSplit:
     def test_exact_partition(self):
         d = make_blob_dataset(n_rows=100, seed=5)
@@ -188,6 +204,31 @@ class TestTrainTestSplit:
         assert a.n_rows + b.n_rows == 37
         merged = sorted(list(a.columns["num_1"]) + list(b.columns["num_1"]))
         assert merged == sorted(list(d.columns["num_1"]))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_singleton_classes_stay_in_train_and_the_rest_stratify(self, seed):
+        labels = _skewed_labels(seed, singletons=1 + seed % 3)
+        frac = (0.2, 0.25, 0.5)[seed % 3]
+        train, test = train_test_split(_labelled_rows(labels), frac, seed)
+        rows = np.concatenate([train.columns["row"], test.columns["row"]])
+        assert sorted(rows) == list(range(labels.size))
+        classes, counts = np.unique(labels, return_counts=True)
+        for cls, count in zip(classes, counts):
+            in_test = int(np.sum(test.columns["label"] == cls))
+            assert in_test == min(max(int(round(frac * count)), 1), count - 1)
+        assert set(test.columns["label"]) <= set(train.columns["label"])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_split_unchanged_when_every_class_has_two_members(self, seed):
+        labels = _skewed_labels(seed, singletons=0)
+        _, test = train_test_split(_labelled_rows(labels), 0.25, seed)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for cls in sorted(set(labels)):
+            idx = rng.permutation(np.flatnonzero(labels == cls))
+            k = min(max(int(round(0.25 * idx.size)), 1), idx.size - 1)
+            expected.append(idx[:k])
+        assert np.array_equal(test.columns["row"], np.sort(np.concatenate(expected)))
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 2.0])
     def test_bad_fraction(self, frac):

@@ -8,6 +8,9 @@ from idsfx.errors import ConfigError, DomainError, SchemaError
 from idsfx.evaluate import (CorrMatrix, EvalReport, accuracy, confusion,
                             export_report, pearson_corr)
 from idsfx.matrix import FeatureMatrix
+from idsfx.pipeline import PipelineConfig
+from idsfx.runner import run_evaluation
+from tests.conftest import make_blob_dataset
 
 
 class TestAccuracy:
@@ -116,8 +119,7 @@ class TestExport:
             dataset_id="demo", config={"u": 3, "v": 2},
             accuracies={"knn": {"baseline": 0.5, "extracted": 0.75},
                         "gaussian_nb": {"baseline": 0.25, "extracted": 1.0}},
-            confusions={"knn": {"baseline": [[1, 1], [0, 2]]}},
-            timings={"knn": 0.1})
+            confusions={"knn": {"baseline": [[1, 1], [0, 2]]}})
 
     def test_json_round_trip(self, tmp_path):
         rep = self._report()
@@ -125,6 +127,11 @@ class TestExport:
         export_report(rep, path, fmt="json")
         back = EvalReport.from_dict(json.loads(path.read_text()))
         assert back == rep
+
+    def test_json_has_no_timings_and_old_reports_still_load(self):
+        doc = self._report().to_dict()
+        assert "timings" not in doc
+        assert EvalReport.from_dict({**doc, "timings": {}}) == self._report()
 
     def test_csv_accuracy_rows(self, tmp_path):
         path = tmp_path / "report.csv"
@@ -161,3 +168,15 @@ class TestExport:
         export_report(rep, tmp_path / "a.json", fmt="json")
         export_report(rep, tmp_path / "b.json", fmt="json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestRunEvaluation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_class_with_one_member_is_trained_on(self, seed):
+        d = make_blob_dataset(60, 4, 3, seed=seed)
+        d.columns["label"][seed % 60] = "lone"
+        report, fp, _ = run_evaluation(d, PipelineConfig(u=3, v=2, seed=seed),
+                                       algorithms=["gaussian_nb"])
+        assert "lone" in fp.label_encoder.classes
+        matrix = np.array(report.confusions["gaussian_nb"]["extracted"])
+        assert matrix[fp.label_encoder.classes.index("lone")].sum() == 0

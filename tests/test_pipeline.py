@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,9 @@ from idsfx.pipeline import (FORMAT_VERSION, PipelineConfig, pipeline_fit,
 from tests.conftest import make_blob_dataset
 
 
-def small_config(u=4, v=3, seed=0):
-    return PipelineConfig(u=u, v=v, seed=seed,
-                          nmf=NmfConfig(max_iter=100, tol=1e-6))
+def small_config(u=4, v=3, seed=0, init="random"):
+    return PipelineConfig(u=u, v=v, seed=seed, nmf_init=init,
+                          nmf_max_iter=100, nmf_tol=1e-6)
 
 
 class TestFit:
@@ -134,15 +137,64 @@ class TestPersistence:
     def test_minor_version_accepted(self):
         assert FORMAT_VERSION.split(".")[0] == "1"
 
+    @pytest.mark.parametrize("init", ["random", "nndsvd"])
+    @pytest.mark.parametrize("u", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_round_trip_keeps_the_nmf_config_fit_used(self, blob_dataset, tmp_path,
+                                                      seed, u, init):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config(u=u, v=2, seed=seed, init=init))
+        assert fp.nmf.config == NmfConfig(r=u, init=init, max_iter=100, tol=1e-6, seed=seed)
+        path = tmp_path / "pipeline.json"
+        pipeline_save(fp, path)
+        back = pipeline_load(path)
+        assert back.nmf.config == fp.nmf.config
+        assert back.config == fp.config
+        assert serialize_pipeline(back) == path.read_bytes()
+
+    def test_format_1_0_file_loads_and_transforms_identically(self, blob_dataset, tmp_path):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config(u=4, seed=9))
+        doc = json.loads(serialize_pipeline(fp).decode().rsplit("\n", 2)[0])
+        assert "r" not in doc["config"]["nmf"] and "seed" not in doc["config"]["nmf"]
+        # what the 1.0 writer put there: NmfConfig's defaults, never used by fit
+        doc["format_version"] = "1.0"
+        doc["config"]["nmf"].update(r=30, seed=0)
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "old.json"
+        path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
+        back = pipeline_load(path)
+        assert back.config == fp.config
+        assert back.nmf.config == fp.nmf.config
+        q = make_blob_dataset(seed=7)
+        assert np.array_equal(pipeline_transform(fp, q).values,
+                              pipeline_transform(back, q).values)
+
 
 class TestConfig:
     def test_round_trip_dict(self):
         cfg = PipelineConfig(u=7, v=2, drop_threshold=0.02, seed=9,
-                             nmf=NmfConfig(r=7, init="nndsvd", max_iter=50,
-                                           tol=1e-5, seed=9))
+                             nmf_init="nndsvd", nmf_max_iter=50, nmf_tol=1e-5)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_defaults(self):
         cfg = PipelineConfig()
         assert (cfg.u, cfg.v) == (30, 20)
         cfg.validate()
+
+    def test_dict_has_no_second_rank_or_seed(self):
+        d = PipelineConfig(u=4, seed=9).to_dict()
+        assert d["nmf"] == {"init": "random", "max_iter": 200, "tol": 1e-4}
+        assert (d["u"], d["seed"]) == (4, 9)
+
+    def test_nmf_rank_and_seed_in_a_dict_are_ignored(self):
+        cfg = PipelineConfig.from_dict(
+            {"u": 4, "seed": 9, "nmf": {"r": 2, "seed": 99, "init": "nndsvd"}})
+        assert cfg.nmf_config() == NmfConfig(r=4, init="nndsvd", seed=9)
+
+    def test_missing_keys_take_the_defaults(self):
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+        assert PipelineConfig().nmf_config() == NmfConfig()
+
+    @pytest.mark.parametrize("nmf", [{"init": "bogus"}, {"max_iter": 0}, {"tol": 0.0}])
+    def test_bad_nmf_settings_rejected_by_validate(self, nmf):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({"nmf": nmf}).validate()
