@@ -3,8 +3,8 @@
 Subcommands: inspect, fit, transform, evaluate, corr, chi2.  Runs are driven
 by a JSON config file (--config) with CLI flags overriding file values; the
 fully resolved config is echoed into the output directory so every run can be
-replayed.  Exit codes: 0 success, 2 usage/config error or empty dataset,
-1 runtime error.
+replayed; ``--seed`` and a top-level ``seed`` set ``pipeline.seed``.  Exit
+codes: 0 success, 2 usage/config error or empty dataset, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ALGORITHMS
-from .data import ColumnKind, Dataset, load_csv, split_xy
+from .data import ColumnKind, load_csv, split_xy
 from .errors import ConfigError, EmptyDatasetError, IdsfxError
 from .evaluate import CorrMatrix, export_report, pearson_corr
-from .pipeline import (PipelineConfig, pipeline_fit, pipeline_load,
-                       pipeline_save, pipeline_transform)
+from .pipeline import (PipelineConfig, check_field_types, pipeline_fit,
+                       pipeline_load, pipeline_save, pipeline_transform)
 from .preprocess import describe, encode_labels
-from .runner import baseline_fit, baseline_transform, run_evaluation
+from .runner import baseline_fit, run_evaluation
 from .select import chi2_scores, report_to_csv, select_k_best
 
 log = logging.getLogger(__name__)
@@ -36,17 +36,12 @@ class RunConfig:
     dataset: str = ""
     profile: str = "generic"
     out: str = "runs/out"
-    seed: int = 0
     test_fraction: float = 0.25
     classifiers: list[str] = field(default_factory=lambda: list(ALGORITHMS))
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     def to_dict(self) -> dict:
-        return {"dataset": self.dataset, "profile": self.profile,
-                "out": self.out, "seed": self.seed,
-                "test_fraction": self.test_fraction,
-                "classifiers": self.classifiers,
-                "pipeline": self.pipeline.to_dict()}
+        return {**asdict(self), "pipeline": self.pipeline.to_dict()}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -59,13 +54,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        cfg.dataset = doc.get("dataset", cfg.dataset)
-        cfg.profile = doc.get("profile", cfg.profile)
-        cfg.out = doc.get("out", cfg.out)
-        cfg.seed = int(doc.get("seed", cfg.seed))
-        cfg.test_fraction = float(doc.get("test_fraction", cfg.test_fraction))
-        cfg.classifiers = list(doc.get("classifiers", cfg.classifiers))
-        cfg.pipeline = PipelineConfig.from_dict(doc.get("pipeline", {}))
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for name in ("dataset", "profile", "out", "test_fraction", "classifiers"):
+            setattr(cfg, name, doc.get(name, getattr(cfg, name)))
+        pipe = doc.get("pipeline", {})
+        cfg.pipeline = PipelineConfig.from_dict(pipe)
+        if "seed" in doc:
+            if doc["seed"] != pipe.get("seed", doc["seed"]):
+                raise ConfigError(f"seed {doc['seed']!r} and pipeline.seed "
+                                  f"{pipe['seed']!r} differ; give one")
+            cfg.pipeline.seed = doc["seed"]
 
     if getattr(args, "dataset", None):
         cfg.dataset = args.dataset
@@ -74,7 +73,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None):
         cfg.out = args.out
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg.pipeline.seed = args.seed
     if getattr(args, "test_fraction", None) is not None:
         cfg.test_fraction = args.test_fraction
     if getattr(args, "components", None) is not None:
@@ -85,7 +84,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.pipeline.drop_threshold = args.threshold
     if getattr(args, "no_tfidf", False):
         cfg.pipeline.tfidf_enabled = False
-    cfg.pipeline.seed = cfg.seed
+    check_field_types(cfg)
+    if not (isinstance(cfg.classifiers, list) and all(c in ALGORITHMS for c in cfg.classifiers)):
+        raise ConfigError(f"classifiers must be a list of {list(ALGORITHMS)}, "
+                          f"got {cfg.classifiers!r}")
     if not cfg.dataset:
         raise ConfigError("no dataset given; use --dataset or a config file")
     cfg.pipeline.validate()
@@ -98,10 +100,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     (out / "run_config.json").write_text(
         json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return out
-
-
-def _load(cfg: RunConfig) -> Dataset:
-    return load_csv(cfg.dataset, cfg.profile)
 
 
 def cmd_inspect(args) -> int:
@@ -135,15 +133,10 @@ def cmd_inspect(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = _load(cfg)
+    d = load_csv(cfg.dataset, cfg.profile)
     fp, _, _ = pipeline_fit(d, cfg.pipeline)
     pipeline_save(fp, out / "pipeline.json")
     report_to_csv(fp.chi2, out / "chi2_scores.csv")
-    (out / "fit_log.json").write_text(json.dumps({
-        "objective_trace": fp.nmf.objective_trace,
-        "iterations_run": fp.nmf.iterations_run,
-        "converged": fp.nmf.converged,
-    }, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"pipeline written to {out / 'pipeline.json'}")
     return 0
 
@@ -166,7 +159,7 @@ def cmd_transform(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = _load(cfg)
+    d = load_csv(cfg.dataset, cfg.profile)
     report, fp, timings = run_evaluation(
         d, cfg.pipeline, algorithms=cfg.classifiers,
         test_fraction=cfg.test_fraction, dataset_id=Path(cfg.dataset).name)
@@ -187,10 +180,9 @@ def cmd_evaluate(args) -> int:
 def cmd_corr(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = _load(cfg)
+    d = load_csv(cfg.dataset, cfg.profile)
     x, _ = split_xy(d)
-    bm = baseline_fit(x)
-    before = pearson_corr(baseline_transform(bm, x))
+    before = pearson_corr(baseline_fit(x)[1])
     export_report(before, out / "corr_before.csv", fmt="csv")
     if getattr(args, "pipeline", None):
         fp = pipeline_load(args.pipeline)
@@ -205,10 +197,9 @@ def cmd_corr(args) -> int:
 def cmd_chi2(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = _load(cfg)
+    d = load_csv(cfg.dataset, cfg.profile)
     x, yv = split_xy(d)
-    bm = baseline_fit(x)
-    fm = baseline_transform(bm, x)
+    _, fm = baseline_fit(x)
     codes, _ = encode_labels(yv)
     scores = chi2_scores(fm, codes)
     report = select_k_best(scores, len(fm.names), names=fm.names)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +140,11 @@ def _parse_numeric(token: str) -> float:
         v = float(token)
     except ValueError as exc:
         raise DatasetError(f"cell {token!r} is not numeric") from exc
-    if not np.isfinite(v):
-        return float("nan")
-    return v
+    return v if np.isfinite(v) else float("nan")
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _read_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
+    """The file's first non-empty CSV row, and the rest parsed as they are taken."""
     p = Path(path)
     if not p.exists():
         raise DatasetError(f"no such file: {p}")
@@ -150,14 +152,49 @@ def _read_rows(path: str | Path) -> list[list[str]]:
     if not raw.strip():
         raise EmptyDatasetError(f"empty dataset: {p}")
     try:
-        text = raw.decode("utf-8")
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(
             f"{p}: not valid UTF-8 at byte offset {exc.start}") from exc
-    rows = [row for row in csv.reader(text.splitlines()) if row]
-    if not rows:
+    rows = (row for row in csv.reader(lines) if row)
+    first = next(rows, None)
+    if first is None:
         raise EmptyDatasetError(f"empty dataset: {p}")
-    return rows
+    return first, rows
+
+
+def _parse_rows(rows: Iterable[list[str]], schema: list[ColumnSpec]) -> dict[str, np.ndarray]:
+    """Columns of the data rows under the schema.
+
+    Numeric cells go into one float buffer as each row is read, so the table
+    is never held as one str object per cell.  Errors come as from a parse
+    column by column: a row of the wrong width first, then the first bad cell
+    or missing label of the first such column in schema order.
+    """
+    numeric = [j for j, s in enumerate(schema) if s.kind == ColumnKind.NUMERIC]
+    tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
+    cells, bad = array("d"), {}     # row-major numeric cells; column -> first bad cell
+    for n_rows, row in enumerate(rows, 1):
+        if len(row) != len(schema):
+            raise DatasetError(f"row {n_rows - 1}: expected {len(schema)} cells, found {len(row)}")
+        for j in numeric:
+            try:
+                cells.append(_parse_numeric(row[j]))
+            except DatasetError as exc:
+                bad.setdefault(j, exc)
+                cells.append(np.nan)
+        for j, col in tokens.items():
+            col.append(row[j].strip())
+    by_column = np.frombuffer(cells).reshape(n_rows, len(numeric)).T.copy()  # one block
+    columns = {}
+    for j, spec in enumerate(schema):
+        if j in bad:
+            raise DatasetError(f"column {spec.name!r}: {bad[j]}") from bad[j]
+        if spec.kind == ColumnKind.LABEL and any(_is_missing(v) for v in tokens[j]):
+            raise DatasetError(f"missing label in column {spec.name!r}")
+        columns[spec.name] = (np.array(tokens[j], dtype=object) if j in tokens
+                              else by_column[numeric.index(j)])
+    return columns
 
 
 def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
@@ -204,17 +241,12 @@ def _generic_schema(header: list[str], rows: list[list[str]],
         elif n in forced_cat:
             specs.append(ColumnSpec(n, ColumnKind.CATEGORICAL))
         else:
-            numeric = True
-            for row in rows:
-                tok = row[j].strip()
-                if _is_missing(tok):
-                    continue
-                try:
-                    float(tok)
-                except ValueError:
-                    numeric = False
-                    break
-            specs.append(ColumnSpec(n, ColumnKind.NUMERIC if numeric else ColumnKind.CATEGORICAL))
+            try:
+                for row in rows:
+                    _parse_numeric(row[j])
+                specs.append(ColumnSpec(n, ColumnKind.NUMERIC))
+            except DatasetError:
+                specs.append(ColumnSpec(n, ColumnKind.CATEGORICAL))
     return specs
 
 
@@ -233,60 +265,28 @@ def load_csv(path: str | Path, profile: Profile | str,
             profile = Profile(profile)
         except ValueError as exc:
             raise ConfigError(f"unknown profile {profile!r}") from exc
-    rows = _read_rows(path)
-
-    if profile in (Profile.NSL_KDD, Profile.MILITARY_KAGGLE):
-        first = rows[0][0].strip().lower()
-        if first == KDD_FEATURES[0]:  # header present
-            rows = rows[1:]
-            if not rows:
-                raise EmptyDatasetError(f"empty dataset: {path}")
-        schema = _kdd_schema(len(rows[0]))
-    elif profile is Profile.CICIDS2017:
-        header = [h.strip() for h in rows[0]]
-        specs = []
-        label_seen = False
-        for n in header:
-            if n.lower() == "label" and not label_seen:
-                specs.append(ColumnSpec(n, ColumnKind.LABEL))
-                label_seen = True
-            else:
-                specs.append(ColumnSpec(n, ColumnKind.NUMERIC))
-        if not label_seen:
-            raise SchemaError("CICIDS file has no 'Label' column")
-        schema = specs
-        rows = rows[1:]
-        if not rows:
-            raise EmptyDatasetError(f"empty dataset: {path}")
-    else:  # Generic
-        if len(rows) < 2:
+    first, rows = _read_rows(path)
+    if profile is Profile.GENERIC:
+        data = list(rows)
+        if not data:
             raise DatasetError("generic profile requires a header row and at least one data row")
-        schema = _generic_schema(rows[0], rows[1:], overrides)
-        rows = rows[1:]
-
-    n_cols = len(schema)
-    raw_cols: list[list] = [[] for _ in range(n_cols)]
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise DatasetError(
-                f"row {i}: expected {n_cols} cells, found {len(row)}")
-        for j, tok in enumerate(row):
-            raw_cols[j].append(tok)
-
-    columns: dict[str, np.ndarray] = {}
-    for j, spec in enumerate(schema):
-        if spec.kind == ColumnKind.NUMERIC:
-            try:
-                columns[spec.name] = np.array(
-                    [_parse_numeric(t) for t in raw_cols[j]], dtype=np.float64)
-            except DatasetError as exc:
-                raise DatasetError(f"column {spec.name!r}: {exc}") from exc
-        else:
-            vals = [t.strip() for t in raw_cols[j]]
-            if spec.kind == ColumnKind.LABEL and any(_is_missing(v) for v in vals):
-                raise DatasetError(f"missing label in column {spec.name!r}")
-            columns[spec.name] = np.array(vals, dtype=object)
-    return Dataset(schema=schema, columns=columns)
+        schema = _generic_schema(first, data, overrides)
+        return Dataset(schema=schema, columns=_parse_rows(data, schema))
+    if profile is Profile.CICIDS2017:
+        header = [h.strip() for h in first]
+        at = next((k for k, n in enumerate(header) if n.lower() == "label"), None)
+        if at is None:
+            raise SchemaError("CICIDS file has no 'Label' column")
+        schema = [ColumnSpec(n, ColumnKind.LABEL if k == at else ColumnKind.NUMERIC)
+                  for k, n in enumerate(header)]
+    elif first[0].strip().lower() != KDD_FEATURES[0]:  # NSL-KDD file with no header
+        rows = chain([first], rows)
+    first = next(rows, None)
+    if first is None:
+        raise EmptyDatasetError(f"empty dataset: {path}")
+    if profile is not Profile.CICIDS2017:
+        schema = _kdd_schema(len(first))
+    return Dataset(schema=schema, columns=_parse_rows(chain([first], rows), schema))
 
 
 def split_xy(d: Dataset) -> tuple[Dataset, LabelVector]:

@@ -38,7 +38,7 @@ class NmfConfig:
             raise ConfigError("component count r must be >= 1")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:    # NaN fails too
             raise ConfigError("tol must be > 0")
         if self.init not in ("random", "nndsvd"):
             raise ConfigError(f"unknown init {self.init!r}")
@@ -48,7 +48,6 @@ class NmfConfig:
 class NmfModel:
     w: np.ndarray
     h: np.ndarray
-    r: int
     objective_trace: list[float] = field(default_factory=list)
     iterations_run: int = 0
     converged: bool = False
@@ -174,7 +173,7 @@ def nmf_fit(x, cfg: NmfConfig,
             converged = True
             break
         prev = err
-    return NmfModel(w=w, h=h, r=cfg.r, objective_trace=trace,
+    return NmfModel(w=w, h=h, objective_trace=trace,
                     iterations_run=it, converged=converged, config=cfg)
 
 
@@ -210,7 +209,7 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
         if abs(prev - err) / max(prev, EPS) < cfg.tol:
             break
         prev = err
-    comp_names = [f"component_{k}" for k in range(model.r)]
+    comp_names = [f"component_{k}" for k in range(h.shape[0])]
     return FeatureMatrix(values=w, names=comp_names)
 
 

@@ -6,14 +6,16 @@ chi-square stage is supervised, so labels are consumed at fit time only;
 transform applies every fitted stage without refitting.
 
 The persisted file is one JSON document with full-precision floats followed
-by a trailing CRC-32 checksum line.
+by a trailing CRC-32 checksum line.  It keeps no per-training-row values
+(NMF's W), so its size does not grow with the training rows.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import numbers
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -29,9 +31,22 @@ from .preprocess import (DEFAULT_DROP_THRESHOLD, CategoricalEncoder, ImputeModel
                          impute_fit, tfidf_apply, tfidf_fit)
 from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
 
-FORMAT_VERSION = "1.1"
+FORMAT_VERSION = "2.0"
+_READABLE_MAJORS = ("1", "2")    # 1.x files carry extra keys that loading ignores
 
 _NMF_KEYS = ("init", "max_iter", "tol")
+_KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def check_field_types(obj) -> None:
+    """ConfigError unless each field holds a value of its default's kind;
+    an int passes for a float, a bool only for a bool."""
+    for f in fields(obj):
+        kind = _KINDS.get(type(f.default))
+        value = getattr(obj, f.name)
+        if kind is not None and (not isinstance(value, kind)
+                                 or isinstance(value, bool) != (kind is bool)):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass
@@ -52,13 +67,12 @@ class PipelineConfig:
                          tol=self.nmf_tol, seed=self.seed)
 
     def validate(self) -> None:
-        if self.u < 1:
-            raise ConfigError("U must be >= 1")
+        check_field_types(self)
+        self.nmf_config().validate()    # checks U, the NMF rank, is >= 1
         if not (1 <= self.v <= self.u):
             raise ConfigError(f"V must satisfy 1 <= V <= U, got V={self.v}, U={self.u}")
-        if self.drop_threshold < 0:
+        if not self.drop_threshold >= 0:    # NaN fails too
             raise ConfigError("drop_threshold must be >= 0")
-        self.nmf_config().validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -68,6 +82,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Missing keys take the defaults; 1.0 files' ``nmf.r``/``nmf.seed`` are ignored."""
+        if not isinstance(d, dict) or not isinstance(d.get("nmf", {}), dict):
+            raise ConfigError("pipeline settings and their 'nmf' entry must be JSON objects")
         names = {f.name for f in fields(cls)}
         kw = {k: v for k, v in d.items() if k in names and not k.startswith("nmf_")}
         nmf = d.get("nmf", {})
@@ -75,21 +91,14 @@ class PipelineConfig:
         return cls(**kw)
 
 
-def _schema_pairs(x: Dataset) -> list[list[str]]:
-    return [[s.name, s.kind.value] for s in x.schema]
-
-
 def _fingerprint(x: Dataset) -> dict:
-    pairs = _schema_pairs(x)
-    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()[:16]
-    return {"rows": x.n_rows, "columns": len(pairs),
-            "schema": pairs, "schema_hash": digest}
+    return {"rows": x.n_rows, "schema": [[s.name, s.kind.value] for s in x.schema]}
 
 
 @dataclass
 class FittedPipeline:
     config: PipelineConfig
-    fingerprint: dict
+    fingerprint: dict               # training rows and the [name, kind] schema
     dropped_columns: list[str]
     impute: ImputeModel
     cat_encoder: CategoricalEncoder
@@ -97,19 +106,17 @@ class FittedPipeline:
     tfidf: TfidfModel | None
     nmf: NmfModel
     chi2: Chi2Report
-    format_version: str = FORMAT_VERSION
 
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, IdsfxError):
-                raise PipelineError(f"stage {name!r}: {exc}") from exc
-            return False
-    return _Ctx()
+    """Name the stage in its errors; a ConfigError passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except IdsfxError as exc:
+        raise PipelineError(f"stage {name!r}: {exc}") from exc
 
 
 def pipeline_fit(d: Dataset, cfg: PipelineConfig
@@ -137,6 +144,7 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
             fm = tfidf_apply(tfidf, fm)
     with _stage("nmf"):
         model = nmf_fit(fm, cfg.nmf_config())
+        model.w = model.w[:0].copy()    # the training rows' W is not part of the model
         w = nmf_transform(model, fm)
     with _stage("chi2_select"):
         scores = chi2_scores(w, codes)
@@ -186,21 +194,13 @@ def _floats(a: np.ndarray) -> list:
     return [float(v) for v in np.asarray(a).ravel()]
 
 
-def _matrix_doc(a: np.ndarray) -> dict:
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _floats(a)}
-
-
-def _matrix_from_doc(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(doc["rows"], doc["cols"])
-
-
 def _to_doc(fp: FittedPipeline) -> dict:
     tfidf = None
     if fp.tfidf is not None:
         tfidf = {"idf": _floats(fp.tfidf.idf), "shifts": _floats(fp.tfidf.shifts),
-                 "names": fp.tfidf.names, "l2_normalize": fp.tfidf.l2_normalize}
+                 "names": fp.tfidf.names}
     return {
-        "format_version": fp.format_version,
+        "format_version": FORMAT_VERSION,
         "config": fp.config.to_dict(),
         "fingerprint": fp.fingerprint,
         "stages": {
@@ -210,48 +210,48 @@ def _to_doc(fp: FittedPipeline) -> dict:
             "label_classes": fp.label_encoder.classes,
             "tfidf": tfidf,
             "nmf": {
-                "w": _matrix_doc(fp.nmf.w), "h": _matrix_doc(fp.nmf.h),
-                "r": fp.nmf.r, "objective_trace": _floats(np.array(fp.nmf.objective_trace)),
+                "h": {"rows": int(fp.nmf.h.shape[0]), "cols": int(fp.nmf.h.shape[1]),
+                      "data": _floats(fp.nmf.h)},
+                "objective_trace": _floats(np.array(fp.nmf.objective_trace)),
                 "iterations_run": fp.nmf.iterations_run,
                 "converged": fp.nmf.converged,
             },
             "chi2": {
                 "scores": _floats(fp.chi2.scores),
                 "ranking": [int(v) for v in fp.chi2.ranking],
-                "selected": [int(v) for v in fp.chi2.selected],
-                "k": fp.chi2.k, "names": fp.chi2.names,
+                "names": fp.chi2.names,
             },
         },
     }
 
 
 def _from_doc(doc: dict) -> FittedPipeline:
+    """Reads only keys that every 1.x and 2.x file carries."""
     cfg = PipelineConfig.from_dict(doc["config"])
     st = doc["stages"]
     tfidf = None
     if st["tfidf"] is not None:
         t = st["tfidf"]
         tfidf = TfidfModel(idf=np.array(t["idf"]), shifts=np.array(t["shifts"]),
-                           names=list(t["names"]), l2_normalize=t["l2_normalize"])
+                           names=list(t["names"]))
     nd = st["nmf"]
-    nmf = NmfModel(w=_matrix_from_doc(nd["w"]), h=_matrix_from_doc(nd["h"]),
-                   r=nd["r"], objective_trace=list(nd["objective_trace"]),
+    h = np.array(nd["h"]["data"], dtype=np.float64).reshape(nd["h"]["rows"], nd["h"]["cols"])
+    nmf = NmfModel(w=np.empty((0, h.shape[0])), h=h,
+                   objective_trace=list(nd["objective_trace"]),
                    iterations_run=nd["iterations_run"], converged=nd["converged"],
                    config=cfg.nmf_config())
     cd = st["chi2"]
     chi2 = Chi2Report(scores=np.array(cd["scores"]),
                       ranking=np.array(cd["ranking"], dtype=np.int64),
-                      selected=np.array(cd["selected"], dtype=np.int64),
-                      k=cd["k"], names=list(cd["names"]))
+                      k=cfg.v, names=list(cd["names"]))
     return FittedPipeline(
-        config=cfg, fingerprint=doc["fingerprint"],
+        config=cfg, fingerprint={k: doc["fingerprint"][k] for k in ("rows", "schema")},
         dropped_columns=list(st["dropped_columns"]),
         impute=ImputeModel(means=dict(st["impute_means"])),
         cat_encoder=CategoricalEncoder(
             tables={k: dict(v) for k, v in st["categorical_tables"].items()}),
         label_encoder=LabelEncoder(classes=list(st["label_classes"])),
-        tfidf=tfidf, nmf=nmf, chi2=chi2,
-        format_version=doc["format_version"])
+        tfidf=tfidf, nmf=nmf, chi2=chi2)
 
 
 def serialize_pipeline(fp: FittedPipeline) -> bytes:
@@ -285,7 +285,7 @@ def pipeline_load(path: str | Path) -> FittedPipeline:
             f"checksum mismatch: file says {expected:08x}, content is {actual:08x}")
     doc = json.loads(body)
     version = doc.get("format_version", "")
-    if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
+    if version.split(".")[0] not in _READABLE_MAJORS:
         raise VersionError(
             f"pipeline file format {version!r} is not readable by "
             f"{FORMAT_VERSION!r} code; re-fit or upgrade")

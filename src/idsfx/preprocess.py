@@ -204,10 +204,9 @@ class TfidfModel:
     idf: np.ndarray                 # weight per feature column, >= 1
     shifts: np.ndarray              # per-column offset making fit data non-negative
     names: list[str]
-    l2_normalize: bool = True
 
 
-def tfidf_fit(x: FeatureMatrix, l2_normalize: bool = True) -> TfidfModel:
+def tfidf_fit(x: FeatureMatrix) -> TfidfModel:
     """Fit smoothed inverse-document-frequency weights per feature column.
 
     Each cell plays the role of a term frequency; df(j) counts rows with a
@@ -220,16 +219,15 @@ def tfidf_fit(x: FeatureMatrix, l2_normalize: bool = True) -> TfidfModel:
     shifted = x.values + shifts
     df = np.count_nonzero(shifted > 0, axis=0).astype(np.float64)
     idf = np.log((1.0 + x.n_rows) / (1.0 + df)) + 1.0
-    return TfidfModel(idf=idf, shifts=shifts, names=list(x.names),
-                      l2_normalize=l2_normalize)
+    return TfidfModel(idf=idf, shifts=shifts, names=list(x.names))
 
 
 def tfidf_apply(model: TfidfModel, x: FeatureMatrix) -> FeatureMatrix:
+    """Shift, weight by idf, then scale every row to unit L2 norm."""
     if x.names != model.names:
         raise SchemaError("feature columns differ from TF-IDF fit time")
     out = (x.values + model.shifts) * model.idf
-    if model.l2_normalize:
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0  # zero rows stay zero
-        out = out / norms
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0  # zero rows stay zero
+    out = out / norms
     return FeatureMatrix(values=out, names=list(x.names))

@@ -25,9 +25,13 @@ log = logging.getLogger(__name__)
 class Chi2Report:
     scores: np.ndarray              # one non-negative score per feature
     ranking: np.ndarray             # feature indices, score descending
-    selected: np.ndarray            # first k of ranking
     k: int
     names: list[str] = field(default_factory=list)
+
+    @property
+    def selected(self) -> np.ndarray:
+        """The first k of the ranking."""
+        return self.ranking[:self.k]
 
 
 def chi2_scores(x, y: np.ndarray) -> np.ndarray:
@@ -69,8 +73,8 @@ def select_k_best(scores: np.ndarray, k: int,
         k = q
     # stable sort on negated scores: equal scores keep ascending index order
     ranking = np.argsort(-scores, kind="stable")
-    return Chi2Report(scores=scores, ranking=ranking, selected=ranking[:k],
-                      k=k, names=list(names) if names else [])
+    return Chi2Report(scores=scores, ranking=ranking, k=k,
+                      names=list(names) if names else [])
 
 
 def apply_selection(report: Chi2Report, x: FeatureMatrix) -> FeatureMatrix:

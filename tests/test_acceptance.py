@@ -20,7 +20,7 @@ from idsfx.nmf import NmfConfig, nmf_fit, reconstruction_error
 from idsfx.pipeline import (PipelineConfig, pipeline_fit, pipeline_load,
                             pipeline_save, pipeline_transform)
 from idsfx.preprocess import encode_labels
-from idsfx.runner import baseline_fit, baseline_transform, run_evaluation
+from idsfx.runner import baseline_fit, run_evaluation
 from idsfx.select import chi2_scores
 from tests.conftest import (CICIDS_NAMES, NSL_KDD_NAMES, find_data_file,
                             make_blob_dataset, write_dataset_csv)
@@ -92,7 +92,7 @@ def test_criterion_3_raw_score_ranking():
         path = _require(NSL_KDD_NAMES, "41-feature benchmark training file")
         d = load_csv(path, "nsl-kdd")
         x, yv = split_xy(d)
-        fm = baseline_transform(baseline_fit(x), x)
+        _, fm = baseline_fit(x)
         codes, _ = encode_labels(yv)
         scores = chi2_scores(fm, codes)
         by_name = dict(zip(fm.names, scores))

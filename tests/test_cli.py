@@ -16,6 +16,13 @@ def blob_csv(tmp_path):
     return write_dataset_csv(d, tmp_path / "blobs.csv")
 
 
+@pytest.fixture
+def no_data_read(monkeypatch):
+    def no_read(*args):
+        raise AssertionError("dataset read despite a bad config")
+    monkeypatch.setattr("idsfx.cli.load_csv", no_read)
+
+
 def _flags(blob_csv, out, extra=()):
     return ["--dataset", str(blob_csv), "--profile", "generic",
             "--out", str(out), "--components", "4", "--select", "3",
@@ -56,8 +63,9 @@ class TestFit:
         rows = list(csv.reader((out / "chi2_scores.csv").open()))
         assert rows[0] == ["feature_name", "score"]
         assert len(rows) == 5  # header + U component scores
-        log = json.loads((out / "fit_log.json").read_text())
-        assert log["iterations_run"] >= 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "chi2_scores.csv", "pipeline.json", "run_config.json"]
+        assert pipeline_load(out / "pipeline.json").nmf.iterations_run >= 1
 
     def test_v_above_u_exit_2(self, blob_csv, tmp_path):
         out = tmp_path / "run"
@@ -91,6 +99,54 @@ class TestFit:
         cfg.write_text(json.dumps({"dataset": str(blob_csv), "pipeline": {"nmf": nmf}}))
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"pipeline": {"u": "4"}}, {"pipeline": {"u": True, "v": 1}}, {"test_fraction": "abc"},
+        {"seed": "3"}, {"pipeline": {"tfidf_enabled": 1}},
+        {"pipeline": {"nmf": {"max_iter": 2.5}}}, {"pipeline": {"nmf": "nndsvd"}},
+        {"pipeline": [4]}, {"classifiers": "knn"}, {"classifiers": ["nope"]},
+        {"pipeline": {"drop_threshold": float("nan")}},
+        {"pipeline": {"nmf": {"tol": float("nan")}}}, {"dataset": 5}, ["not", "an", "object"]])
+    def test_malformed_config_value_exit_2_before_reading_data(self, blob_csv, tmp_path,
+                                                               no_data_read, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        body = {"dataset": str(blob_csv), **doc} if isinstance(doc, dict) else doc
+        cfg.write_text(json.dumps(body))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc,flags,seed", [
+        ({"seed": 3}, [], 3),
+        ({"pipeline": {"seed": 5}}, [], 5),
+        ({"seed": 5, "pipeline": {"seed": 5}}, [], 5),
+        ({"pipeline": {"seed": 5}}, ["--seed", "7"], 7),
+        ({}, ["--seed", "7"], 7)])
+    def test_seed_lives_in_the_pipeline_settings(self, blob_csv, tmp_path, doc, flags, seed):
+        cfg = tmp_path / "cfg.json"
+        pipeline = {"u": 4, "v": 2, **doc.get("pipeline", {})}
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), **doc, "pipeline": pipeline}))
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        echoed = json.loads((out / "run_config.json").read_text())
+        assert "seed" not in echoed
+        assert echoed["pipeline"]["seed"] == seed
+        fp = pipeline_load(out / "pipeline.json")
+        assert fp.config.seed == fp.nmf.config.seed == seed
+
+    def test_differing_top_level_and_pipeline_seeds_exit_2(self, blob_csv, tmp_path,
+                                                           no_data_read, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), "seed": 3,
+                                   "pipeline": {"seed": 5}}))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_more_components_than_columns_exit_2(self, blob_csv, tmp_path, capsys, command):
+        out = tmp_path / "run"   # the fixture has 5 feature columns
+        assert main([command, *_flags(blob_csv, out), "--components", "9"]) == 2
+        assert "r=9 exceeds min(p, q)=5" in capsys.readouterr().err
+        assert not (out / "pipeline.json").exists()
+
     def test_one_rank_and_one_seed_in_every_record(self, blob_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -103,7 +159,7 @@ class TestFit:
         assert (echoed["u"], echoed["seed"]) == (4, 9)
         fp = pipeline_load(out / "pipeline.json")
         assert fp.config.to_dict() == echoed
-        assert (fp.nmf.config.r, fp.nmf.config.seed, fp.nmf.r) == (4, 9, 4)
+        assert (fp.nmf.config.r, fp.nmf.config.seed, fp.nmf.h.shape[0]) == (4, 9, 4)
 
 
 class TestTransform:

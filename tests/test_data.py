@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,39 @@ class TestLoadCsv:
         p = _write(tmp_path, "t.csv", "a,b,label\n1,2,x\n1,2\n")
         with pytest.raises(DatasetError, match="row 1"):
             load_csv(p, "generic")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n1,x,y\n2\n", "row 1: expected 3 cells"),  # width before cells
+        ("a,b,label\n1,x,y\nz,2,y\n", "column 'a': cell 'z'"),  # column order, not row
+        ("a,label\nz,\n", "column 'a'"),
+        ("label,a\n,z\n", "missing label in column 'label'"),
+    ])
+    def test_errors_come_in_column_order(self, tmp_path, text, message):
+        with pytest.raises(DatasetError, match=message):
+            load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+
+    def test_numeric_columns_are_separate_writable_arrays(self, tmp_path):
+        d = load_csv(_write(tmp_path, "c.csv", "a,b,Label\n1,2,x\n3,4,y\n"), "cicids2017")
+        a, b = d.columns["a"], d.columns["b"]
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+        a[0] = 9.0
+        assert a.tolist() == [9.0, 3.0] and b.tolist() == [2.0, 4.0]
+
+    def test_load_holds_no_python_object_per_cell(self, tmp_path):
+        cells = np.random.default_rng(0).uniform(0, 1e5, size=(400, 40))
+        lines = [",".join(f"c{j}" for j in range(40)) + ",Label"]
+        lines += [",".join(f"{v:.3f}" for v in row) + ",BENIGN" for row in cells]
+        p = _write(tmp_path, "c.csv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            d = load_csv(p, "cicids2017")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(d.columns["c39"], cells[:, 39], atol=1e-3)
+        # the file's bytes, text and lines plus two float copies of the cells
+        # come to about 3x the file; one str per cell would be about 10x
+        assert peak < 5 * p.stat().st_size
 
     def test_no_label_column(self, tmp_path):
         p = _write(tmp_path, "t.csv", "a,b,c\n1,2,3\n")

@@ -138,12 +138,12 @@ class TestReconstructionError:
     def test_zero_factors(self):
         from idsfx.nmf import NmfModel
         x = np.ones((2, 2))
-        m = NmfModel(w=np.zeros((2, 1)), h=np.zeros((1, 2)), r=1)
+        m = NmfModel(w=np.zeros((2, 1)), h=np.zeros((1, 2)))
         assert reconstruction_error(m, x) == 1.0
 
     def test_zero_matrix(self):
         from idsfx.nmf import NmfModel
-        m = NmfModel(w=np.zeros((2, 1)), h=np.zeros((1, 2)), r=1)
+        m = NmfModel(w=np.zeros((2, 1)), h=np.zeros((1, 2)))
         assert reconstruction_error(m, np.zeros((2, 2))) == 0.0
 
     def test_matches_direct_quotient(self):

@@ -126,7 +126,7 @@ class TestPersistence:
         fp, _, _ = pipeline_fit(blob_dataset, small_config())
         doc = serialize_pipeline(fp).decode().rsplit("\n", 2)[0]
         parsed = json.loads(doc)
-        parsed["format_version"] = "2.0"
+        parsed["format_version"] = "3.0"
         body = json.dumps(parsed, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
         path = tmp_path / "future.json"
@@ -135,7 +135,7 @@ class TestPersistence:
             pipeline_load(path)
 
     def test_minor_version_accepted(self):
-        assert FORMAT_VERSION.split(".")[0] == "1"
+        assert FORMAT_VERSION.split(".")[0] == "2"
 
     @pytest.mark.parametrize("init", ["random", "nndsvd"])
     @pytest.mark.parametrize("u", [2, 4])
@@ -167,6 +167,47 @@ class TestPersistence:
         q = make_blob_dataset(seed=7)
         assert np.array_equal(pipeline_transform(fp, q).values,
                               pipeline_transform(back, q).values)
+
+
+    @pytest.mark.parametrize("version", ["1.0", "1.1"])
+    def test_format_1_x_file_with_every_old_key_loads_and_resaves_as_2_0(
+            self, blob_dataset, tmp_path, version):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config(u=4, v=3, seed=9))
+        doc = json.loads(serialize_pipeline(fp).decode().rsplit("\n", 2)[0])
+        # what a 1.x writer also stored: the training W and derived copies
+        n, st = blob_dataset.n_rows, doc["stages"]
+        st["nmf"].update(w={"rows": n, "cols": 4, "data": [0.5] * (n * 4)}, r=4)
+        st["chi2"].update(k=3, selected=st["chi2"]["ranking"][:3])
+        st["tfidf"]["l2_normalize"] = True
+        doc["fingerprint"].update(columns=len(doc["fingerprint"]["schema"]),
+                                  schema_hash="0123456789abcdef")
+        doc["format_version"] = version
+        if version == "1.0":
+            doc["config"]["nmf"].update(r=30, seed=0)
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "old.json"
+        path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
+
+        back = pipeline_load(path)
+        q = make_blob_dataset(seed=7)
+        assert np.array_equal(pipeline_transform(fp, q).values,
+                              pipeline_transform(back, q).values)
+        assert back.nmf.w.shape == fp.nmf.w.shape == (0, 4)
+        assert serialize_pipeline(back) == serialize_pipeline(fp)
+        resaved = json.loads(serialize_pipeline(back).decode().rsplit("\n", 2)[0])
+        assert resaved["format_version"] == "2.0"
+        assert not {"w", "r"} & set(resaved["stages"]["nmf"])
+        assert not {"k", "selected"} & set(resaved["stages"]["chi2"])
+        assert "l2_normalize" not in resaved["stages"]["tfidf"]
+        assert not {"columns", "schema_hash"} & set(resaved["fingerprint"])
+
+    def test_file_size_does_not_grow_with_training_rows(self, tmp_path):
+        sizes = []
+        for n_rows in (100, 400):
+            fp, _, _ = pipeline_fit(make_blob_dataset(n_rows=n_rows, seed=1), small_config())
+            pipeline_save(fp, tmp_path / "pipeline.json")
+            sizes.append((tmp_path / "pipeline.json").stat().st_size)
+        assert sizes[1] <= 1.1 * sizes[0]
 
 
 class TestConfig:
