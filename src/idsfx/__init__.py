@@ -1,7 +1,7 @@
 """Hierarchical feature extraction (TF-IDF -> NMF -> chi-square) and
 classification toolkit for intrusion-detection datasets."""
 
-from .data import ColumnKind, ColumnSpec, Dataset, LabelVector, Profile, load_csv, split_xy, train_test_split
+from .data import ColumnKind, ColumnSpec, Dataset, Profile, load_csv, split_xy, train_test_split
 from .errors import (ConfigError, DatasetError, DomainError, EmptyDatasetError,
                      IdsfxError, IntegrityError, PipelineError, SchemaError,
                      VersionError)
@@ -14,7 +14,7 @@ from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColumnKind", "ColumnSpec", "Dataset", "LabelVector", "Profile",
+    "ColumnKind", "ColumnSpec", "Dataset", "Profile",
     "load_csv", "split_xy", "train_test_split",
     "FeatureMatrix",
     "NmfConfig", "NmfModel", "nmf_fit", "nmf_transform", "nndsvd_init",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, SchemaError
-from .matrix import FeatureMatrix
+from .matrix import values_of
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,7 @@ class TrainedClassifier:
 
 
 def _as_matrix(x) -> np.ndarray:
-    xv = x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
-    return np.ascontiguousarray(xv, dtype=np.float64)
+    return np.ascontiguousarray(values_of(x))
 
 
 def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,11 +21,11 @@ import numpy as np
 from .classifiers import ALGORITHMS
 from .data import ColumnKind, load_csv, split_xy
 from .errors import ConfigError, EmptyDatasetError, IdsfxError
-from .evaluate import CorrMatrix, export_report, pearson_corr
+from .evaluate import export_report, pearson_corr
 from .pipeline import (PipelineConfig, check_field_types, pipeline_fit,
                        pipeline_load, pipeline_save, pipeline_transform)
-from .preprocess import describe, encode_labels
-from .runner import baseline_fit, run_evaluation
+from .preprocess import baseline_fit, describe, encode_labels
+from .runner import run_evaluation
 from .select import chi2_scores, report_to_csv, select_k_best
 
 log = logging.getLogger(__name__)
@@ -44,6 +44,12 @@ class RunConfig:
         return {**asdict(self), "pipeline": self.pipeline.to_dict()}
 
 
+def _check_keys(d: dict, known, where: str) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -56,10 +62,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
+        known = cfg.to_dict()
+        _check_keys(doc, [*known, "seed"], "config")
         for name in ("dataset", "profile", "out", "test_fraction", "classifiers"):
             setattr(cfg, name, doc.get(name, getattr(cfg, name)))
         pipe = doc.get("pipeline", {})
         cfg.pipeline = PipelineConfig.from_dict(pipe)
+        _check_keys(pipe, known["pipeline"], "pipeline")
+        # nmf.r and nmf.seed are accepted and ignored, as in 1.0 pipeline files
+        _check_keys(pipe.get("nmf", {}), [*known["pipeline"]["nmf"], "r", "seed"], "pipeline.nmf")
         if "seed" in doc:
             if doc["seed"] != pipe.get("seed", doc["seed"]):
                 raise ConfigError(f"seed {doc['seed']!r} and pipeline.seed "
@@ -85,6 +96,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "no_tfidf", False):
         cfg.pipeline.tfidf_enabled = False
     check_field_types(cfg)
+    if not 0 < cfg.test_fraction < 1:    # NaN fails too
+        raise ConfigError(f"test_fraction must be in (0,1), got {cfg.test_fraction}")
     if not (isinstance(cfg.classifiers, list) and all(c in ALGORITHMS for c in cfg.classifiers)):
         raise ConfigError(f"classifiers must be a list of {list(ALGORITHMS)}, "
                           f"got {cfg.classifiers!r}")
@@ -148,10 +161,8 @@ def cmd_transform(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "transformed.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fm.names) + "\n")
-        for row in fm.values:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, fm.values, fmt="%.17g", delimiter=",", header=",".join(fm.names),
+               comments="", encoding="utf-8")
     print(f"transformed matrix written to {path}")
     return 0
 
@@ -185,11 +196,10 @@ def cmd_corr(args) -> int:
     before = pearson_corr(baseline_fit(x)[1])
     export_report(before, out / "corr_before.csv", fmt="csv")
     if getattr(args, "pipeline", None):
-        fp = pipeline_load(args.pipeline)
+        after = pipeline_transform(pipeline_load(args.pipeline), x)
     else:
-        fp, _, _ = pipeline_fit(d, cfg.pipeline)
-    after = pearson_corr(pipeline_transform(fp, x))
-    export_report(after, out / "corr_after.csv", fmt="csv")
+        _, after, _ = pipeline_fit(d, cfg.pipeline)
+    export_report(pearson_corr(after), out / "corr_after.csv", fmt="csv")
     print(f"correlation tables written to {out}")
     return 0
 
@@ -198,9 +208,9 @@ def cmd_chi2(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     d = load_csv(cfg.dataset, cfg.profile)
-    x, yv = split_xy(d)
+    x, y = split_xy(d)
     _, fm = baseline_fit(x)
-    codes, _ = encode_labels(yv)
+    codes, _ = encode_labels(y)
     scores = chi2_scores(fm, codes)
     report = select_k_best(scores, len(fm.names), names=fm.names)
     report_to_csv(report, out / "chi2_raw.csv")

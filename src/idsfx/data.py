@@ -94,6 +94,10 @@ class Dataset:
         labels = self.specs(ColumnKind.LABEL)
         return labels[0].name if labels else None
 
+    def select(self, specs: list[ColumnSpec]) -> "Dataset":
+        """The given columns, in the given order; the arrays are shared."""
+        return Dataset(schema=list(specs), columns={s.name: self.columns[s.name] for s in specs})
+
     def subset(self, row_idx: np.ndarray) -> "Dataset":
         cols = {s.name: self.columns[s.name][row_idx] for s in self.schema}
         return Dataset(schema=list(self.schema), columns=cols)
@@ -118,14 +122,6 @@ class Dataset:
                     else:
                         row.append(str(v))
                 writer.writerow(row)
-
-
-@dataclass
-class LabelVector:
-    values: np.ndarray  # object array of str tokens
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _is_missing(token: str) -> bool:
@@ -289,14 +285,14 @@ def load_csv(path: str | Path, profile: Profile | str,
     return Dataset(schema=schema, columns=_parse_rows(chain([first], rows), schema))
 
 
-def split_xy(d: Dataset) -> tuple[Dataset, LabelVector]:
-    """Separate features from labels; Ignored columns are dropped."""
+def split_xy(d: Dataset) -> tuple[Dataset, np.ndarray]:
+    """Separate the features from the label tokens (an object array of str);
+    Ignored columns are dropped."""
     label = d.label_column
     if label is None:
         raise SchemaError("dataset has no label column")
-    keep = [s for s in d.schema if s.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)]
-    x = Dataset(schema=keep, columns={s.name: d.columns[s.name] for s in keep})
-    return x, LabelVector(values=d.columns[label])
+    x = d.select([s for s in d.schema if s.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)])
+    return x, d.columns[label]
 
 
 def _labels_of(d: Dataset) -> np.ndarray | None:

@@ -100,18 +100,11 @@ def export_report(report, path: str | Path, fmt: str = "csv") -> None:
 
     CSV: correlation matrices become labeled square tables; evaluation
     reports become (classifier, variant, accuracy) rows for bar charts.
-    JSON: the full report document."""
+    JSON (evaluation reports only): the full report document."""
     path = Path(path)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if isinstance(report, CorrMatrix):
-        if fmt == "json":
-            doc = {"names": report.names,
-                   "constant_features": report.constant_features,
-                   "values": [[float(v) for v in row] for row in report.values]}
-            path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                            encoding="utf-8")
-            return
+    if isinstance(report, CorrMatrix) and fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + report.names)
@@ -130,4 +123,4 @@ def export_report(report, path: str | Path, fmt: str = "csv") -> None:
                 for variant in sorted(report.accuracies[clf]):
                     writer.writerow([clf, variant, _fmt(report.accuracies[clf][variant])])
         return
-    raise ConfigError(f"cannot export object of type {type(report).__name__}")
+    raise ConfigError(f"cannot export object of type {type(report).__name__} as {fmt}")

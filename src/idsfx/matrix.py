@@ -29,3 +29,8 @@ class FeatureMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+
+def values_of(x) -> np.ndarray:
+    """The float64 values of a FeatureMatrix or of any array-like."""
+    return x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)

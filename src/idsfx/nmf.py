@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, values_of
 
 log = logging.getLogger(__name__)
 
@@ -63,10 +63,6 @@ def _check_nonnegative(x: np.ndarray) -> None:
         raise DomainError(f"negative entry {x[i, j]} at ({i}, {j})")
 
 
-def _values(x) -> np.ndarray:
-    return x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(x - w @ h))
 
@@ -102,7 +98,7 @@ def nndsvd_init(x, r: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """NNDSVDa initialization: split each singular triplet into its
     non-negative parts, then replace zeros by the matrix mean so that the
     multiplicative updates cannot lock entries at zero."""
-    x = _values(x)
+    x = values_of(x)
     _check_nonnegative(x)
     if r > min(x.shape):
         raise ConfigError(f"r={r} exceeds min(p, q)={min(x.shape)}")
@@ -139,26 +135,18 @@ def nndsvd_init(x, r: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return w0, h0
 
 
-def nmf_fit(x, cfg: NmfConfig,
-            w0: np.ndarray | None = None, h0: np.ndarray | None = None) -> NmfModel:
+def nmf_fit(x, cfg: NmfConfig) -> NmfModel:
     """Fit W, H by multiplicative updates; stops when the relative change of
-    the Frobenius residual drops below cfg.tol or max_iter is reached.
-
-    Explicit w0/h0 override the configured initialization (used by tests)."""
+    the Frobenius residual drops below cfg.tol or max_iter is reached."""
     cfg.validate()
-    xv = _values(x)
+    xv = values_of(x)
     _check_nonnegative(xv)
     p, q = xv.shape
     if cfg.r > min(p, q):
         raise ConfigError(f"r={cfg.r} exceeds min(p, q)={min(p, q)}")
 
-    if w0 is None or h0 is None:
-        if cfg.init == "nndsvd":
-            w0, h0 = nndsvd_init(xv, cfg.r, cfg.seed)
-        else:
-            w0, h0 = random_init(xv, cfg.r, cfg.seed)
-    w = np.ascontiguousarray(w0, dtype=np.float64).copy()
-    h = np.ascontiguousarray(h0, dtype=np.float64).copy()
+    init = nndsvd_init if cfg.init == "nndsvd" else random_init
+    w, h = init(xv, cfg.r, cfg.seed)
 
     trace: list[float] = []
     prev = _frobenius(xv, w, h)
@@ -183,10 +171,7 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
     H stays frozen; W_new is found by the H-fixed multiplicative update from
     a deterministic row-local least-squares warm start (so identical rows map
     identically and all-zero rows stay all-zero)."""
-    names = None
-    xv = _values(x_new)
-    if isinstance(x_new, FeatureMatrix):
-        names = x_new.names
+    xv = values_of(x_new)
     if xv.shape[1] != model.h.shape[1]:
         raise SchemaError(
             f"input has {xv.shape[1]} columns, model expects {model.h.shape[1]}")
@@ -215,7 +200,7 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
 
 def reconstruction_error(model: NmfModel, x) -> float:
     """Relative Frobenius residual ||X - WH||_F / ||X||_F (0 when ||X||_F = 0)."""
-    xv = _values(x)
+    xv = values_of(x)
     if xv.shape != (model.w.shape[0], model.h.shape[1]):
         raise SchemaError(
             f"shape {xv.shape} does not match model ({model.w.shape[0]}, {model.h.shape[1]})")

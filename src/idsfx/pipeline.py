@@ -1,7 +1,8 @@
 """End-to-end fit/transform pipeline with single-file JSON persistence.
 
-Stage order is fixed: describe -> drop near-zero-mean -> impute -> encode ->
-TF-IDF -> NMF (U components) -> chi-square select (V features).  The
+Stage order is fixed: describe -> drop near-zero-mean -> impute and encode
+(the baseline feature space, ``preprocess.baseline_fit``/``baseline_transform``)
+-> TF-IDF -> NMF (U components) -> chi-square select (V features).  The
 chi-square stage is supervised, so labels are consumed at fit time only;
 transform applies every fitted stage without refitting.
 
@@ -21,14 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ColumnKind, Dataset, split_xy
+from .data import Dataset, split_xy
 from .errors import ConfigError, IdsfxError, IntegrityError, PipelineError, SchemaError, VersionError
 from .matrix import FeatureMatrix
 from .nmf import NmfConfig, NmfModel, nmf_fit, nmf_transform
-from .preprocess import (DEFAULT_DROP_THRESHOLD, CategoricalEncoder, ImputeModel,
-                         LabelEncoder, TfidfModel, describe, drop_near_zero_mean,
-                         encode_categoricals, encode_labels, impute_apply,
-                         impute_fit, tfidf_apply, tfidf_fit)
+from .preprocess import (DEFAULT_DROP_THRESHOLD, BaselineModel, CategoricalEncoder,
+                         ImputeModel, LabelEncoder, TfidfModel, baseline_fit,
+                         baseline_transform, describe, drop_near_zero_mean,
+                         encode_labels, tfidf_apply, tfidf_fit)
 from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
 
 FORMAT_VERSION = "2.0"
@@ -100,8 +101,7 @@ class FittedPipeline:
     config: PipelineConfig
     fingerprint: dict               # training rows and the [name, kind] schema
     dropped_columns: list[str]
-    impute: ImputeModel
-    cat_encoder: CategoricalEncoder
+    baseline: BaselineModel         # impute and encode the columns left after the drop
     label_encoder: LabelEncoder
     tfidf: TfidfModel | None
     nmf: NmfModel
@@ -124,19 +124,15 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
     """Fit every stage in order; returns the fitted pipeline, the final
     rows x V matrix and the encoded labels."""
     cfg.validate()
-    x, yv = split_xy(d)
+    x, y = split_xy(d)
     fingerprint = _fingerprint(x)
 
     with _stage("drop_near_zero_mean"):
-        stats = describe(x)
-        x, dropped = drop_near_zero_mean(x, stats, cfg.drop_threshold)
-    with _stage("impute"):
-        imp = impute_fit(x)
-        x = impute_apply(imp, x)
+        x, dropped = drop_near_zero_mean(x, describe(x), cfg.drop_threshold)
+    with _stage("impute_encode"):
+        baseline, fm = baseline_fit(x)
     with _stage("encode_labels"):
-        codes, label_enc = encode_labels(yv)
-    with _stage("encode_categoricals"):
-        fm, cat_enc = encode_categoricals(x)
+        codes, label_enc = encode_labels(y)
     tfidf = None
     if cfg.tfidf_enabled:
         with _stage("tfidf"):
@@ -152,8 +148,7 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
         final = apply_selection(report, w)
 
     fp = FittedPipeline(config=cfg, fingerprint=fingerprint,
-                        dropped_columns=dropped, impute=imp,
-                        cat_encoder=cat_enc, label_encoder=label_enc,
+                        dropped_columns=dropped, baseline=baseline, label_encoder=label_enc,
                         tfidf=tfidf, nmf=model, chi2=report)
     return fp, final, codes
 
@@ -174,11 +169,8 @@ def pipeline_transform(fp: FittedPipeline, d: Dataset) -> FeatureMatrix:
         d, _ = split_xy(d)
     _check_schema(fp, d)
     keep = [s for s in d.schema if s.name not in set(fp.dropped_columns)]
-    x = Dataset(schema=keep, columns={s.name: d.columns[s.name] for s in keep})
-    with _stage("impute"):
-        x = impute_apply(fp.impute, x)
-    with _stage("encode_categoricals"):
-        fm, _ = encode_categoricals(x, fp.cat_encoder)
+    with _stage("impute_encode"):
+        fm = baseline_transform(fp.baseline, d.select(keep))
     if fp.tfidf is not None:
         with _stage("tfidf"):
             fm = tfidf_apply(fp.tfidf, fm)
@@ -205,8 +197,8 @@ def _to_doc(fp: FittedPipeline) -> dict:
         "fingerprint": fp.fingerprint,
         "stages": {
             "dropped_columns": fp.dropped_columns,
-            "impute_means": fp.impute.means,
-            "categorical_tables": fp.cat_encoder.tables,
+            "impute_means": fp.baseline.impute.means,
+            "categorical_tables": fp.baseline.cat_encoder.tables,
             "label_classes": fp.label_encoder.classes,
             "tfidf": tfidf,
             "nmf": {
@@ -247,9 +239,10 @@ def _from_doc(doc: dict) -> FittedPipeline:
     return FittedPipeline(
         config=cfg, fingerprint={k: doc["fingerprint"][k] for k in ("rows", "schema")},
         dropped_columns=list(st["dropped_columns"]),
-        impute=ImputeModel(means=dict(st["impute_means"])),
-        cat_encoder=CategoricalEncoder(
-            tables={k: dict(v) for k, v in st["categorical_tables"].items()}),
+        baseline=BaselineModel(
+            impute=ImputeModel(means=dict(st["impute_means"])),
+            cat_encoder=CategoricalEncoder(
+                tables={k: dict(v) for k, v in st["categorical_tables"].items()})),
         label_encoder=LabelEncoder(classes=list(st["label_classes"])),
         tfidf=tfidf, nmf=nmf, chi2=chi2)
 

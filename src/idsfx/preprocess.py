@@ -2,7 +2,9 @@
 imputation, label/categorical encoding and TF-IDF weighting.
 
 Every stateful step is a fit/apply pair so that unseen rows are transformed
-with frozen training statistics.
+with frozen training statistics.  Imputation then encoding, the baseline
+feature space, is one pair (``baseline_fit``/``baseline_transform``) that
+the evaluation's baseline variant and the extraction pipeline both use.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnKind, ColumnSpec, Dataset, LabelVector
+from .data import ColumnKind, Dataset
 from .errors import PipelineError, SchemaError
 from .matrix import FeatureMatrix
 
@@ -87,9 +89,7 @@ def drop_near_zero_mean(x: Dataset, stats: SummaryStats,
     if n_numeric and len(dropped) == n_numeric:
         raise PipelineError(
             "near-zero-mean drop removed every numeric column; lower the threshold")
-    keep = [s for s in x.schema if s.name not in dropped]
-    out = Dataset(schema=keep, columns={s.name: x.columns[s.name] for s in keep})
-    return out, dropped
+    return x.select([s for s in x.schema if s.name not in dropped]), dropped
 
 
 @dataclass
@@ -136,11 +136,11 @@ class LabelEncoder:
         return np.array([self.classes[int(c)] for c in codes], dtype=object)
 
 
-def encode_labels(y: LabelVector) -> tuple[np.ndarray, LabelEncoder]:
+def encode_labels(y: np.ndarray) -> tuple[np.ndarray, LabelEncoder]:
     if len(y) == 0:
         raise PipelineError("empty label vector")
-    enc = LabelEncoder(classes=sorted({str(v) for v in y.values}))
-    return enc.encode(y.values), enc
+    enc = LabelEncoder(classes=sorted({str(v) for v in y}))
+    return enc.encode(y), enc
 
 
 @dataclass
@@ -197,6 +197,25 @@ def encode_categoricals(x: Dataset, enc: CategoricalEncoder | None = None
         else:
             out[:, j] = col
     return FeatureMatrix(values=out, names=names), enc
+
+
+@dataclass
+class BaselineModel:
+    """Imputation + ordinal encoding only: the pre-extraction feature space."""
+    impute: ImputeModel
+    cat_encoder: CategoricalEncoder
+
+
+def baseline_fit(x_train: Dataset) -> tuple[BaselineModel, FeatureMatrix]:
+    """Fit the baseline; returns it and the encoded training rows."""
+    imp = impute_fit(x_train)
+    fm, enc = encode_categoricals(impute_apply(imp, x_train))
+    return BaselineModel(impute=imp, cat_encoder=enc), fm
+
+
+def baseline_transform(bm: BaselineModel, x: Dataset) -> FeatureMatrix:
+    fm, _ = encode_categoricals(impute_apply(bm.impute, x), bm.cat_encoder)
+    return fm
 
 
 @dataclass

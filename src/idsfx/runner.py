@@ -1,45 +1,24 @@
 """Dual-variant evaluation: every classifier is trained on the raw
 preprocessed features (baseline) and on the pipeline-extracted features over
 the same split and seed, so the reported accuracy delta is apples-to-apples.
+
+The baseline is ``preprocess.baseline_fit``/``baseline_transform``, the same
+impute-and-encode step the pipeline runs after its near-zero-mean drop.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import classifiers as clf
 from .data import Dataset, split_xy, train_test_split
 from .errors import ConfigError
 from .evaluate import EvalReport, accuracy, confusion
-from .matrix import FeatureMatrix
 from .pipeline import FittedPipeline, PipelineConfig, pipeline_fit, pipeline_transform
-from .preprocess import (CategoricalEncoder, ImputeModel, encode_categoricals,
-                         impute_apply, impute_fit)
+from .preprocess import baseline_fit, baseline_transform
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class BaselineModel:
-    """Imputation + ordinal encoding only: the pre-extraction feature space."""
-    impute: ImputeModel
-    cat_encoder: CategoricalEncoder
-
-
-def baseline_fit(x_train: Dataset) -> tuple[BaselineModel, FeatureMatrix]:
-    """Fit the baseline; returns it and the encoded training rows."""
-    imp = impute_fit(x_train)
-    fm, enc = encode_categoricals(impute_apply(imp, x_train))
-    return BaselineModel(impute=imp, cat_encoder=enc), fm
-
-
-def baseline_transform(bm: BaselineModel, x: Dataset) -> FeatureMatrix:
-    fm, _ = encode_categoricals(impute_apply(bm.impute, x), bm.cat_encoder)
-    return fm
 
 
 def run_evaluation(d: Dataset, cfg: PipelineConfig,
@@ -62,14 +41,14 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
     t0 = time.perf_counter()
     train_d, test_d = train_test_split(d, test_fraction, cfg.seed)
     x_train, _ = split_xy(train_d)
-    x_test, y_test_v = split_xy(test_d)
+    x_test, y_test_tokens = split_xy(test_d)
     timings["split"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fp, x_train_ext, y_train = pipeline_fit(train_d, cfg)
     timings["pipeline_fit"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    y_test = fp.label_encoder.encode(y_test_v.values)
+    y_test = fp.label_encoder.encode(y_test_tokens)
     x_test_ext = pipeline_transform(fp, x_test)
     timings["pipeline_transform"] = time.perf_counter() - t0
 

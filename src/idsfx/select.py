@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, SchemaError
-from .matrix import FeatureMatrix
+from .matrix import FeatureMatrix, values_of
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,7 @@ def chi2_scores(x, y: np.ndarray) -> np.ndarray:
     """score_j = sum_c (O_c - E_c)^2 / E_c with O_c the class-c sum of
     feature j and E_c its expectation under label-independence.  Classes with
     E_c = 0 contribute 0 (the feature is all-zero)."""
-    xv = x.values if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
+    xv = values_of(x)
     y = np.asarray(y, dtype=np.int64)
     if xv.shape[0] != y.shape[0]:
         raise SchemaError(f"{xv.shape[0]} rows but {y.shape[0]} labels")

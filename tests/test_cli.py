@@ -114,6 +114,32 @@ class TestFit:
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc,keys", [
+        ({"pipeline": {"compnents": 4}, "clasifiers": ["knn"]}, ["clasifiers"]),
+        ({"pipeline": {"compnents": 4}}, ["compnents"]),
+        ({"pipeline": {"nmf_init": "nndsvd"}}, ["nmf_init"]),
+        ({"pipeline": {"nmf": {"maxiter": 5, "r": 4}}}, ["maxiter"]),
+        ({"clasifiers": ["knn"], "sed": 3}, ["clasifiers", "sed"])])
+    def test_unknown_config_key_exit_2_before_reading_data(self, blob_csv, tmp_path,
+                                                          no_data_read, capsys, doc, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), **doc}))
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and all(repr(k) in err for k in keys)
+
+    @pytest.mark.parametrize("doc,flags", [
+        ({"test_fraction": 1.5}, []), ({}, ["--test-fraction", "0"]),
+        ({"test_fraction": 0.5}, ["--test-fraction", "1"]),
+        ({"test_fraction": float("nan")}, [])])
+    def test_test_fraction_out_of_range_exit_2_before_reading_data(self, tmp_path, no_data_read,
+                                                                   capsys, doc, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(tmp_path / "missing.csv"), **doc}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     *flags]) == 2
+        assert "test_fraction" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc,flags,seed", [
         ({"seed": 3}, [], 3),
         ({"pipeline": {"seed": 5}}, [], 5),

@@ -183,7 +183,7 @@ class TestSplitXy:
         d.columns["label"] = np.array(labels, dtype=object)
         x, y = split_xy(d)
         for i in range(10):
-            assert y.values[i] == labels[i]
+            assert y[i] == labels[i]
             assert x.columns["num_0"][i] == d.columns["num_0"][i]
 
     def test_no_label_raises(self, blob_dataset):

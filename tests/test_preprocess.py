@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsfx.data import ColumnKind, ColumnSpec, Dataset, LabelVector
+from idsfx.data import ColumnKind, ColumnSpec, Dataset
 from idsfx.errors import PipelineError, SchemaError
 from idsfx.matrix import FeatureMatrix
 from idsfx.preprocess import (describe, drop_near_zero_mean, encode_categoricals,
@@ -122,14 +122,14 @@ class TestImpute:
 
 class TestEncodeLabels:
     def test_lexicographic(self):
-        codes, enc = encode_labels(LabelVector(np.array(["normal", "anomaly", "normal"], dtype=object)))
+        codes, enc = encode_labels(np.array(["normal", "anomaly", "normal"], dtype=object))
         assert list(codes) == [1, 0, 1]
         assert enc.classes == ["anomaly", "normal"]
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "dd", "e"]), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, tokens):
-        y = LabelVector(np.array(tokens, dtype=object))
+        y = np.array(tokens, dtype=object)
         codes, enc = encode_labels(y)
         assert list(enc.decode(codes)) == tokens
 
