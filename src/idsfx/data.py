@@ -4,7 +4,16 @@ Supported inputs are comma-delimited CSV files from three intrusion-detection
 dataset families (NSL-KDD, CICIDS-2017, the Kaggle military-environment dump)
 plus a header-driven generic profile.  Numeric cells are stored as float64
 with NaN standing for the explicit Missing state; the recognized missing
-markers are "", "nan", "infinity" and "-infinity" (case-insensitive).
+markers are "", "nan", "infinity" and "-infinity" (case-insensitive), and
+every other non-finite value is Missing too.
+
+The file is split into lines once; the header (or the first data row of a
+headerless NSL-KDD file) is read with the csv module.  The data lines are
+parsed in one ``np.loadtxt`` pass, numpy's C reader, with quoting and no
+comment character, which reads the same cells as the csv module.  The row
+parser ``_parse_rows`` runs only where numpy refuses the lines or a label is
+missing: it reports each error with its message, and still loads the valid
+files numpy rejects (empty cells, ``1_000``, non-ASCII digits).
 """
 
 from __future__ import annotations
@@ -12,10 +21,9 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +147,8 @@ def _parse_numeric(token: str) -> float:
     return v if np.isfinite(v) else float("nan")
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
-    """The file's first non-empty CSV row, and the rest parsed as they are taken."""
+def _read_lines(path: str | Path) -> list[str]:
+    """The file's text split into lines, as ``str.splitlines`` splits them."""
     p = Path(path)
     if not p.exists():
         raise DatasetError(f"no such file: {p}")
@@ -148,15 +156,23 @@ def _read_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
     if not raw.strip():
         raise EmptyDatasetError(f"empty dataset: {p}")
     try:
-        lines = raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatasetError(
             f"{p}: not valid UTF-8 at byte offset {exc.start}") from exc
-    rows = (row for row in csv.reader(lines) if row)
-    first = next(rows, None)
-    if first is None:
-        raise EmptyDatasetError(f"empty dataset: {p}")
-    return first, rows
+    del raw                             # the bytes need not outlive the text
+    return text.splitlines()
+
+
+def _next_row(reader) -> tuple[int, list[str] | None]:
+    """The index of the line where the reader's next non-empty CSV row
+    starts, and that row (None at the end)."""
+    start = reader.line_num
+    for row in reader:
+        if row:
+            return start, row
+        start = reader.line_num
+    return start, None
 
 
 def _parse_rows(rows: Iterable[list[str]], schema: list[ColumnSpec]) -> dict[str, np.ndarray]:
@@ -191,6 +207,50 @@ def _parse_rows(rows: Iterable[list[str]], schema: list[ColumnSpec]) -> dict[str
         columns[spec.name] = (np.array(tokens[j], dtype=object) if j in tokens
                               else by_column[numeric.index(j)])
     return columns
+
+
+def _keep_stripped(col: list[str]):
+    """A converter that appends the stripped token to ``col``, one str object
+    per distinct token, and stores 0.0 in its place."""
+    seen = {}
+
+    def convert(token: str) -> float:
+        token = token.strip()
+        col.append(seen.setdefault(token, token))
+        return 0.0
+    return convert
+
+
+def _parse_lines(lines: list[str], schema: list[ColumnSpec]) -> dict[str, np.ndarray]:
+    """Columns of the data lines under the schema, read by ``np.loadtxt``.
+
+    Token columns pass through a converter that keeps the stripped token.
+    Without ``usecols`` numpy checks every row's width.  Where numpy refuses
+    the lines, the width differs from the schema or a label is missing,
+    ``_parse_rows`` reads the lines instead and raises its errors.  Otherwise
+    ``lines`` is emptied, so the text is freed before the cells are copied
+    into column order.
+    """
+    tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
+    # the csv module reads nothing from an empty line, even inside a quoted
+    # cell, where numpy would end the cell
+    lines[:] = filter(None, lines)
+    try:
+        cells = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                           encoding=None,
+                           converters={j: _keep_stripped(col) for j, col in tokens.items()})
+    except ValueError:
+        cells = None
+    labels = (tokens[j] for j, s in enumerate(schema) if s.kind == ColumnKind.LABEL)
+    if (cells is None or cells.shape[1] != len(schema)
+            or any(map(_is_missing, set().union(*labels)))):
+        return _parse_rows(filter(None, csv.reader(lines)), schema)
+    lines.clear()
+    by_column = cells.T.copy()      # one block, a row per column
+    del cells
+    np.copyto(by_column, np.nan, where=~np.isfinite(by_column))
+    return {spec.name: (np.array(tokens[j], dtype=object) if j in tokens else by_column[j])
+            for j, spec in enumerate(schema)}
 
 
 def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
@@ -261,13 +321,19 @@ def load_csv(path: str | Path, profile: Profile | str,
             profile = Profile(profile)
         except ValueError as exc:
             raise ConfigError(f"unknown profile {profile!r}") from exc
-    first, rows = _read_rows(path)
+    lines = _read_lines(path)
+    reader = csv.reader(lines)
+    start, first = _next_row(reader)
+    if first is None:
+        raise EmptyDatasetError(f"empty dataset: {path}")
     if profile is Profile.GENERIC:
-        data = list(rows)
+        start = reader.line_num
+        data = [row for row in reader if row]
         if not data:
             raise DatasetError("generic profile requires a header row and at least one data row")
         schema = _generic_schema(first, data, overrides)
-        return Dataset(schema=schema, columns=_parse_rows(data, schema))
+        del data, lines[:start]
+        return Dataset(schema=schema, columns=_parse_lines(lines, schema))
     if profile is Profile.CICIDS2017:
         header = [h.strip() for h in first]
         at = next((k for k, n in enumerate(header) if n.lower() == "label"), None)
@@ -275,14 +341,14 @@ def load_csv(path: str | Path, profile: Profile | str,
             raise SchemaError("CICIDS file has no 'Label' column")
         schema = [ColumnSpec(n, ColumnKind.LABEL if k == at else ColumnKind.NUMERIC)
                   for k, n in enumerate(header)]
-    elif first[0].strip().lower() != KDD_FEATURES[0]:  # NSL-KDD file with no header
-        rows = chain([first], rows)
-    first = next(rows, None)
+    if profile is Profile.CICIDS2017 or first[0].strip().lower() == KDD_FEATURES[0]:
+        start, first = _next_row(reader)   # skip the header
     if first is None:
         raise EmptyDatasetError(f"empty dataset: {path}")
     if profile is not Profile.CICIDS2017:
         schema = _kdd_schema(len(first))
-    return Dataset(schema=schema, columns=_parse_rows(chain([first], rows), schema))
+    del lines[:start]
+    return Dataset(schema=schema, columns=_parse_lines(lines, schema))
 
 
 def split_xy(d: Dataset) -> tuple[Dataset, np.ndarray]:

@@ -187,9 +187,10 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
     w[row_sums[:, 0] == 0.0] = 0.0
 
     cfg = model.config
+    xht = xv @ h.T      # H is frozen, so the numerator is the same every iteration
     prev = _frobenius(xv, w, h)
     for _ in range(cfg.max_iter):
-        w *= (xv @ h.T) / (w @ hht + EPS)
+        w *= xht / (w @ hht + EPS)
         err = _frobenius(xv, w, h)
         if abs(prev - err) / max(prev, EPS) < cfg.tol:
             break

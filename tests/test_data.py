@@ -1,8 +1,13 @@
+import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idsfx import data
 from idsfx.data import (KDD_FEATURES, ColumnKind, ColumnSpec, Dataset, Profile,
                         load_csv, split_xy, train_test_split)
 from idsfx.errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
@@ -84,6 +89,11 @@ class TestLoadCsv:
         ("a,b,label\n1,x,y\nz,2,y\n", "column 'a': cell 'z'"),  # column order, not row
         ("a,label\nz,\n", "column 'a'"),
         ("label,a\n,z\n", "missing label in column 'label'"),
+        ("a,Label\n1,x\n2, NaN \n", "missing label in column 'Label'"),  # cells all valid
+        # one row too wide or too narrow, or every row too wide
+        ("a,b,c,Label\n1,2,3,x\n1,2,3,4,x\n4,5,6,y\n", "^row 1: expected 4 cells, found 5$"),
+        ("a,b,c,Label\n1,2,3,x\n1,x\n4,5,6,y\n", "^row 1: expected 4 cells, found 2$"),
+        ("a,b,c,Label\n1,2,3,x,5\n4,5,6,y,7\n", "^row 0: expected 4 cells, found 5$"),
     ])
     def test_errors_come_in_column_order(self, tmp_path, text, message):
         with pytest.raises(DatasetError, match=message):
@@ -158,6 +168,121 @@ class TestLoadCsv:
                 assert np.array_equal(a, b, equal_nan=True)
             else:
                 assert list(a) == list(b)
+
+
+# Pieces of cells for the differential test: number syntax, the missing
+# markers, blanks and quotes, a comment sign, cells that Python's float()
+# reads but numpy does not ("1_000", Arabic-Indic digits), and line breaks,
+# which a quoted cell may span.
+_PIECES = ["0", "7", "42", ".", "e", "E", "+", "-", "nan", "NaN", "inf", "-Inf",
+           "Infinity", "-infinity", "", " ", '"', '""', "#", "_", "\u0661", "x",
+           "\x0c", "a\n\nb"]
+_TOKENS = ["tcp", "http", "SF", "normal", " x ", '"a,b"', "#a", '"q""r"']
+_NUMBERS = ["0", "3", "1e3", "2.5", "-0", "nan", "Infinity", "-inf", "1e400", "0.125"]
+
+
+def _fuzz_csv(seed: int, profile: str) -> str:
+    """A small CSV text under the profile, valid or broken, drawn from the seed."""
+    rng = random.Random(seed)
+    if profile in ("nsl-kdd", "military-kaggle"):
+        width = rng.choice([42, 43])
+        tokens = {1, 2, 3, 41, 42}
+        header = KDD_FEATURES + ["class", "difficulty"][:width - 41]
+        header = header if rng.random() < 0.3 else None
+    else:
+        width = rng.choice([1, 1, 2, 3, 4])
+        at = rng.randrange(width)
+        name = "Label" if profile == "cicids2017" else "label"
+        header = [name if k == at else f" c{k} " for k in range(width)]
+        tokens = {at} | ({k for k in range(width) if rng.random() < 0.3}
+                         if profile == "generic" else set())
+    dirt = rng.choice([0.0, 0.0, 0.01, 0.1, 0.5])
+
+    def cell(k):
+        if rng.random() >= dirt:
+            return rng.choice(_TOKENS if k in tokens else _NUMBERS)
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 3)))
+        return f'"{text}"' if rng.random() < 0.3 else text
+
+    lines = [",".join(header)] if header else []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.25:
+            lines.append(rng.choice(["", "", " ", "\t", '""']))
+        n = width + (rng.choice([-1, 1]) if rng.random() < 0.05 else 0)
+        lines.append(",".join(cell(k) for k in range(n)))
+    ends = rng.choice(["\n", "\r\n", "\r", None])
+    text = "".join(line + (ends or rng.choice(["\n", "\r\n", "\r"])) for line in lines)
+    return text[:-1] if rng.random() < 0.2 else text
+
+
+def _outcome(path, profile):
+    """What load_csv makes of the file: the schema and each column's bytes or
+    tokens, or the exception's type and message."""
+    try:
+        d = load_csv(path, profile)
+    except Exception as exc:        # the exception is the outcome
+        return type(exc), str(exc)
+    return [(s.name, s.kind, d.columns[s.name].dtype,
+             d.columns[s.name].tobytes() if s.kind == ColumnKind.NUMERIC
+             else d.columns[s.name].tolist()) for s in d.schema]
+
+
+class TestLoadtxtPath:
+    """The numpy reader against the row parser that was the only path before
+    it and now runs where numpy refuses a file."""
+
+    @pytest.mark.parametrize("profile", [p.value for p in Profile])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_loads_as_the_row_parser(self, tmp_path_factory, profile, seed):
+        path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+        path.write_bytes(_fuzz_csv(seed, profile).encode("utf-8"))
+        with mock.patch.object(data.np, "loadtxt", side_effect=ValueError):
+            expected = _outcome(path, profile)
+        assert _outcome(path, profile) == expected
+
+    @pytest.mark.parametrize("profile", [p.value for p in Profile])
+    def test_clean_files_never_reach_the_row_parser(self, tmp_path, profile):
+        kdd = profile in ("nsl-kdd", "military-kaggle")
+        text = ("\n".join([_kdd_row("normal", 3), _kdd_row("neptune", 9)]) if kdd
+                else "a, b ,label\n1,2.5,x\n\n3,Infinity,y\r\n")
+        with mock.patch.object(data, "_parse_rows", side_effect=AssertionError):
+            d = load_csv(_write(tmp_path, "c.csv", text + "\n"), profile)
+        assert d.n_rows == 2
+
+    def test_wrong_width_in_a_headerless_kdd_file(self, tmp_path):
+        text = "\n".join([_kdd_row(), _kdd_row(), _kdd_row(difficulty=3)]) + "\n"
+        with pytest.raises(DatasetError, match="^row 2: expected 42 cells, found 43$"):
+            load_csv(_write(tmp_path, "k.csv", text), "nsl-kdd")
+
+    def test_empty_cell_loads_as_nan(self, tmp_path):
+        d = load_csv(_write(tmp_path, "c.csv", "a,b,Label\n1,,x\n,2,y\n"), "cicids2017")
+        nan = np.float64("nan").tobytes()
+        assert d.columns["a"].tobytes() == np.float64(1).tobytes() + nan
+        assert d.columns["b"].tobytes() == nan + np.float64(2).tobytes()
+
+    def test_python_number_syntax_still_loads(self, tmp_path):
+        text = "a,b,Label\n1_000,\u0661\u0662,x\n"
+        d = load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+        assert d.columns["a"].tolist() == [1000.0] and d.columns["b"].tolist() == [12.0]
+
+    def test_hash_in_a_token_is_kept_whole(self, tmp_path):
+        d = load_csv(_write(tmp_path, "c.csv", "a,Label\n1,#x y\n2, a#b \n"), "cicids2017")
+        assert d.columns["Label"].tolist() == ["#x y", "a#b"]
+        assert d.columns["a"].tolist() == [1.0, 2.0]
+
+    def test_quoted_cells(self, tmp_path):
+        text = 'a,Label\n"1","x,y"\n" 2 ","say ""hi"""\n'
+        d = load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+        assert d.columns["a"].tolist() == [1.0, 2.0]
+        assert d.columns["Label"].tolist() == ["x,y", 'say "hi"']
+
+    @pytest.mark.parametrize("profile", ["cicids2017", "generic"])
+    def test_quoted_cell_spanning_a_blank_line(self, tmp_path, profile):
+        # the lines are joined with nothing between them, as the csv module
+        # joins them; numpy alone would end the cell at the blank line
+        d = load_csv(_write(tmp_path, "c.csv", 'Label\n"x\n\ny"\nz\n'), profile)
+        assert d.columns["Label"].tolist() == ["xy", "z"]
 
 
 class TestSplitXy:
