@@ -103,6 +103,8 @@ def predict(model: TrainedClassifier, x) -> np.ndarray:
     if xv.shape[1] != model.meta["features"]:
         raise SchemaError(
             f"input has {xv.shape[1]} features, model expects {model.meta['features']}")
+    if np.isnan(xv).any():
+        raise DomainError("NaN in prediction features")
     yk = _PREDICTORS[model.algorithm](model.state, xv)
     return model.classes[yk]
 
@@ -175,6 +177,11 @@ def _fit_svm(x, y, k, hp, seed):
 
 # ------------------------------------------------------------------------ knn
 
+# k-NN prediction holds a few float64/int64 arrays of about this many cells
+# (query rows x training rows), 8 MB each, at a time.
+KNN_BLOCK_CELLS = 1 << 20
+
+
 def _fit_knn(x, y, k, hp, seed):
     if hp["k"] < 1:
         raise ConfigError("knn needs k >= 1")
@@ -182,20 +189,45 @@ def _fit_knn(x, y, k, hp, seed):
             "n_classes": int(max(k, 1))}
 
 
-def _predict_knn(state, x, chunk: int = 512):
+def _predict_knn(state, x):
+    """Majority vote of the ``k`` training rows nearest to each row of ``x``.
+
+    Distances are squared Euclidean, ``|q|^2 - 2 q.t + |t|^2``.  The ``k``
+    nearest are every row strictly nearer than the k-th distance, then the
+    lowest training indices among the rows at exactly that distance: the set
+    a stable sort would put first.  Vote ties go to the lowest class code.
+
+    A vote depends only on which rows are chosen, not on their order, so no
+    row is sorted: ``argpartition`` finds the k-th distance in linear time.
+    Where more than ``k`` rows lie within it, a running count of the rows at
+    that distance keeps the lowest indices.  Rows with fewer than ``k``
+    comparable distances (NaN from overflowing or non-finite cells) are
+    sorted.  Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances.
+    """
     xt, yt = state["x"], state["y"]
-    k = state["k"]
+    k, n_classes = state["k"], state["n_classes"]
     sq_t = np.einsum("ij,ij->i", xt, xt)
     out = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], chunk):
-        xc = x[lo:lo + chunk]
+    step = max(1, KNN_BLOCK_CELLS // xt.shape[0])
+    for lo in range(0, x.shape[0], step):
+        xc = x[lo:lo + step]
         d2 = np.einsum("ij,ij->i", xc, xc)[:, None] - 2.0 * (xc @ xt.T) + sq_t
-        # stable sort: equal distances resolve to the lower training index
-        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = yt[near]
-        for i in range(votes.shape[0]):
-            counts = np.bincount(votes[i], minlength=state["n_classes"])
-            out[lo + i] = int(np.argmax(counts))  # vote ties: lowest class code
+        near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, near, axis=1).max(axis=1)[:, None]
+        within = np.count_nonzero(d2 <= kth, axis=1)   # 0 where kth is NaN
+        tied = np.flatnonzero(within > k)
+        if tied.size:
+            dt, kt = d2[tied], kth[tied]
+            lt, at = dt < kt, dt == kt
+            room = k - np.count_nonzero(lt, axis=1)
+            keep = lt | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+            near[tied] = np.nonzero(keep)[1].reshape(-1, k)
+        short = np.flatnonzero(within < k)
+        if short.size:
+            near[short] = np.argsort(d2[short], axis=1, kind="stable")[:, :k]
+        cells = np.arange(near.shape[0])[:, None] * n_classes + yt[near]
+        votes = np.bincount(cells.ravel(), minlength=near.shape[0] * n_classes)
+        out[lo:lo + step] = votes.reshape(-1, n_classes).argmax(axis=1)
     return out
 
 

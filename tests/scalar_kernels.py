@@ -4,6 +4,9 @@ These are the element-by-element loops that ``idsfx.kernels`` replaced with
 vectorized numpy code.  The arithmetic of every step is the same in both, so
 ``tests/test_kernels.py`` requires their outputs to be bit-identical.  Keep
 these bodies as they are; they are the definition the fast kernels must meet.
+``predict_knn_sorted`` is the same for k-NN prediction in
+``idsfx.classifiers``: it sorts every distance row, where the fast version
+selects the k nearest (``tests/test_classifiers.py``).
 """
 
 import numpy as np
@@ -218,3 +221,20 @@ def _svm_sgd_impl(X, y, n_classes, epochs, lam, perms):
                         w[c, j] += step * X[i, j]
                     b[c] += step
     return w, b
+
+
+def predict_knn_sorted(state, x, chunk: int = 512):
+    xt, yt = state["x"], state["y"]
+    k = state["k"]
+    sq_t = np.einsum("ij,ij->i", xt, xt)
+    out = np.empty(x.shape[0], dtype=np.int64)
+    for lo in range(0, x.shape[0], chunk):
+        xc = x[lo:lo + chunk]
+        d2 = np.einsum("ij,ij->i", xc, xc)[:, None] - 2.0 * (xc @ xt.T) + sq_t
+        # stable sort: equal distances resolve to the lower training index
+        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        votes = yt[near]
+        for i in range(votes.shape[0]):
+            counts = np.bincount(votes[i], minlength=state["n_classes"])
+            out[lo + i] = int(np.argmax(counts))  # vote ties: lowest class code
+    return out

@@ -1,9 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idsfx import classifiers
 from idsfx.classifiers import (ALGORITHMS, ClassifierSpec, TrainedClassifier,
                                predict, train)
 from idsfx.errors import ConfigError, DomainError, SchemaError
+from scalar_kernels import predict_knn_sorted
 
 
 def blobs(n_per=20, centers=((-2, -2), (2, 2)), spread=0.3, seed=0):
@@ -50,6 +57,15 @@ class TestContracts:
         x[0, 0] = np.nan
         with pytest.raises(DomainError):
             train(ClassifierSpec("gaussian_nb"), x, y)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_nan_rejected_in_prediction(self, algo):
+        x, y = blobs()
+        model = train(ClassifierSpec(algo, seed=0), x, y)
+        q = x[:3].copy()
+        q[1, 1] = np.nan
+        with pytest.raises(DomainError, match="NaN in prediction features"):
+            predict(model, q)
 
     def test_feature_count_mismatch(self):
         x, y = blobs()
@@ -110,6 +126,60 @@ class TestKnn:
         y = np.array([3, 7], dtype=np.int64)
         model = train(ClassifierSpec("knn", {"k": 1}), x, y)
         assert predict(model, np.array([[1.0]]))[0] == 3
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_sort_oracle(self, block_rows, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        grid = rng.random() < 0.5   # cells from {0, 1, 2}: many equal distances
+
+        def draw(rows):
+            if grid:
+                return rng.integers(0, 3, (rows, d)).astype(float)
+            return np.round(rng.random((rows, d)) * 3, 1)
+
+        x = draw(int(rng.integers(1, 30)))
+        x = np.vstack([x, x[rng.integers(0, len(x), rng.integers(1, 12))]])
+        n = len(x)
+        present = int(rng.integers(1, 5))
+        n_classes = present + int(rng.integers(0, 2))
+        y = rng.integers(0, present, n)
+        k = int(rng.choice([1, rng.integers(1, n + 4), n, n + 3]))
+        state = classifiers._fit_knn(x, y, n_classes, {"k": k}, 0)
+        q = np.vstack([draw(int(rng.integers(0, 12))),
+                       x[rng.integers(0, n, rng.integers(0, 6))]])
+        q = q[rng.permutation(len(q))]
+        if rng.random() < 0.1:
+            q = q[:0]
+        if len(q) and rng.random() < 0.5:
+            odd = rng.integers(0, q.size, rng.integers(1, 4))
+            q.flat[odd] = rng.choice([np.nan, np.inf, -np.inf, 1e200, -1e200],
+                                     odd.size)
+        cells = classifiers.KNN_BLOCK_CELLS if block_rows is None else block_rows * n
+        # the oracle gets the same row blocks, so both see the same distance
+        # bits: BLAS may round a product differently for another block shape
+        chunk = max(1, cells // n)
+        with mock.patch.object(classifiers, "KNN_BLOCK_CELLS", cells), \
+                np.errstate(over="ignore", invalid="ignore"):
+            got = classifiers._predict_knn(state, q)
+            want = predict_knn_sorted(state, q, chunk)
+        assert np.array_equal(got, want)
+
+    def test_predict_memory_is_bounded_by_the_block(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((20000, 20))
+        model = train(ClassifierSpec("knn"), x, rng.integers(0, 3, 20000))
+        q = rng.random((2000, 20))
+        tracemalloc.start()
+        try:
+            predict(model, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few float64/int64 arrays of one block, not one per 512 query rows
+        assert peak < 6 * 8 * classifiers.KNN_BLOCK_CELLS
 
 
 class TestGaussianNb:
