@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ALGORITHMS
-from .data import ColumnKind, load_csv, split_xy
+from .data import ColumnKind, Profile, load_csv, split_xy
 from .errors import ConfigError, EmptyDatasetError, IdsfxError
 from .evaluate import export_report, pearson_corr
 from .pipeline import (PipelineConfig, check_field_types, pipeline_fit,
@@ -29,6 +29,8 @@ from .runner import run_evaluation
 from .select import chi2_scores, report_to_csv, select_k_best
 
 log = logging.getLogger(__name__)
+
+_PROFILES = [p.value for p in Profile]
 
 
 @dataclass
@@ -221,7 +223,7 @@ def cmd_chi2(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--dataset", help="dataset CSV path")
-    p.add_argument("--profile", choices=["nsl-kdd", "cicids2017", "military-kaggle", "generic"])
+    p.add_argument("--profile", choices=_PROFILES)
     p.add_argument("--components", type=int, metavar="U", help="NMF component count")
     p.add_argument("--select", type=int, metavar="V", help="selected feature count")
     p.add_argument("--seed", type=int)
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="summarize a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--profile", choices=["nsl-kdd", "cicids2017", "military-kaggle", "generic"])
+    p.add_argument("--profile", choices=_PROFILES)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("fit", help="fit the extraction pipeline")
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a saved pipeline to new rows")
     p.add_argument("--pipeline", required=True, help="saved pipeline file")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--profile", choices=["nsl-kdd", "cicids2017", "military-kaggle", "generic"])
+    p.add_argument("--profile", choices=_PROFILES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_transform)
 

@@ -88,12 +88,6 @@ class Dataset:
             return len(self.columns[spec.name])
         return 0
 
-    def spec_for(self, name: str) -> ColumnSpec:
-        for spec in self.schema:
-            if spec.name == name:
-                return spec
-        raise SchemaError(f"no column named {name!r}")
-
     def specs(self, kind: ColumnKind) -> list[ColumnSpec]:
         return [s for s in self.schema if s.kind == kind]
 
@@ -109,27 +103,6 @@ class Dataset:
     def subset(self, row_idx: np.ndarray) -> "Dataset":
         cols = {s.name: self.columns[s.name][row_idx] for s in self.schema}
         return Dataset(schema=list(self.schema), columns=cols)
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write the table back out with a header row; missing cells are empty."""
-        names = [s.name for s in self.schema]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for i in range(self.n_rows):
-                row = []
-                for spec in self.schema:
-                    v = self.columns[spec.name][i]
-                    if spec.kind == ColumnKind.NUMERIC:
-                        if np.isnan(v):
-                            row.append("")
-                        elif v == int(v) and abs(v) < 1e15:
-                            row.append(str(int(v)))
-                        else:
-                            row.append(repr(float(v)))
-                    else:
-                        row.append(str(v))
-                writer.writerow(row)
 
 
 def _is_missing(token: str) -> bool:
@@ -361,11 +334,6 @@ def split_xy(d: Dataset) -> tuple[Dataset, np.ndarray]:
     return x, d.columns[label]
 
 
-def _labels_of(d: Dataset) -> np.ndarray | None:
-    label = d.label_column
-    return None if label is None else d.columns[label]
-
-
 def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test partition, stratified by label when possible.
 
@@ -379,7 +347,7 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     if n < 2:
         raise DatasetError("need at least 2 rows to split")
     rng = np.random.default_rng(seed)
-    labels = _labels_of(d)
+    labels = None if d.label_column is None else d.columns[d.label_column]
 
     stratify = False
     if labels is not None:

@@ -85,11 +85,6 @@ class EvalReport:
             "confusions": self.confusions,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(dataset_id=d["dataset_id"], config=d["config"],
-                   accuracies=d["accuracies"], confusions=d["confusions"])
-
 
 def _fmt(v: float) -> str:
     return "%.9g" % v

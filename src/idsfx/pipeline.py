@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -109,14 +110,18 @@ class FittedPipeline:
 
 
 @contextmanager
-def _stage(name: str):
-    """Name the stage in its errors; a ConfigError passes through unchanged."""
+def stage(name: str, timings: dict[str, float] | None = None):
+    """Name the stage in its errors; a ConfigError passes through unchanged.
+    Given a dict, a stage that succeeds records its wall seconds under ``name``."""
+    t0 = time.perf_counter()
     try:
         yield
     except ConfigError:
         raise
     except IdsfxError as exc:
         raise PipelineError(f"stage {name!r}: {exc}") from exc
+    if timings is not None:
+        timings[name] = time.perf_counter() - t0
 
 
 def pipeline_fit(d: Dataset, cfg: PipelineConfig
@@ -127,22 +132,22 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
     x, y = split_xy(d)
     fingerprint = _fingerprint(x)
 
-    with _stage("drop_near_zero_mean"):
+    with stage("drop_near_zero_mean"):
         x, dropped = drop_near_zero_mean(x, describe(x), cfg.drop_threshold)
-    with _stage("impute_encode"):
+    with stage("impute_encode"):
         baseline, fm = baseline_fit(x)
-    with _stage("encode_labels"):
+    with stage("encode_labels"):
         codes, label_enc = encode_labels(y)
     tfidf = None
     if cfg.tfidf_enabled:
-        with _stage("tfidf"):
+        with stage("tfidf"):
             tfidf = tfidf_fit(fm)
             fm = tfidf_apply(tfidf, fm)
-    with _stage("nmf"):
+    with stage("nmf"):
         model = nmf_fit(fm, cfg.nmf_config())
         model.w = model.w[:0].copy()    # the training rows' W is not part of the model
         w = nmf_transform(model, fm)
-    with _stage("chi2_select"):
+    with stage("chi2_select"):
         scores = chi2_scores(w, codes)
         report = select_k_best(scores, cfg.v, names=w.names)
         final = apply_selection(report, w)
@@ -169,14 +174,14 @@ def pipeline_transform(fp: FittedPipeline, d: Dataset) -> FeatureMatrix:
         d, _ = split_xy(d)
     _check_schema(fp, d)
     keep = [s for s in d.schema if s.name not in set(fp.dropped_columns)]
-    with _stage("impute_encode"):
+    with stage("impute_encode"):
         fm = baseline_transform(fp.baseline, d.select(keep))
     if fp.tfidf is not None:
-        with _stage("tfidf"):
+        with stage("tfidf"):
             fm = tfidf_apply(fp.tfidf, fm)
-    with _stage("nmf"):
+    with stage("nmf"):
         w = nmf_transform(fp.nmf, fm)
-    with _stage("chi2_select"):
+    with stage("chi2_select"):
         return apply_selection(fp.chi2, w)
 
 
@@ -276,10 +281,14 @@ def pipeline_load(path: str | Path) -> FittedPipeline:
     if actual != expected:
         raise IntegrityError(
             f"checksum mismatch: file says {expected:08x}, content is {actual:08x}")
-    doc = json.loads(body)
-    version = doc.get("format_version", "")
-    if version.split(".")[0] not in _READABLE_MAJORS:
-        raise VersionError(
-            f"pipeline file format {version!r} is not readable by "
-            f"{FORMAT_VERSION!r} code; re-fit or upgrade")
-    return _from_doc(doc)
+    try:
+        doc = json.loads(body)
+        version = doc.get("format_version", "")
+        if version.split(".")[0] not in _READABLE_MAJORS:
+            raise VersionError(
+                f"pipeline file format {version!r} is not readable by "
+                f"{FORMAT_VERSION!r} code; re-fit or upgrade")
+        return _from_doc(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(
+            f"pipeline file holds no pipeline document ({type(exc).__name__}: {exc})") from exc

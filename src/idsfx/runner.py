@@ -9,13 +9,12 @@ impute-and-encode step the pipeline runs after its near-zero-mean drop.
 from __future__ import annotations
 
 import logging
-import time
 
 from . import classifiers as clf
 from .data import Dataset, split_xy, train_test_split
 from .errors import ConfigError
 from .evaluate import EvalReport, accuracy, confusion
-from .pipeline import FittedPipeline, PipelineConfig, pipeline_fit, pipeline_transform
+from .pipeline import FittedPipeline, PipelineConfig, pipeline_fit, pipeline_transform, stage
 from .preprocess import baseline_fit, baseline_transform
 
 log = logging.getLogger(__name__)
@@ -28,8 +27,9 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
     """Train/score every classifier twice (baseline vs extracted features).
 
     The split and the classifiers are seeded with ``cfg.seed``.  Returns the
-    report, the fitted pipeline and the wall-clock timings of each step.
-    Timings live outside the report so report files stay byte-reproducible.
+    report, the fitted pipeline and the wall-clock timings of each step; an
+    error names the step.  Timings live outside the report so report files
+    stay byte-reproducible.
     """
     algorithms = sorted(algorithms if algorithms is not None else clf.ALGORITHMS)
     for a in algorithms:
@@ -38,26 +38,19 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
     cfg.validate()
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    train_d, test_d = train_test_split(d, test_fraction, cfg.seed)
-    x_train, _ = split_xy(train_d)
-    x_test, y_test_tokens = split_xy(test_d)
-    timings["split"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    fp, x_train_ext, y_train = pipeline_fit(train_d, cfg)
-    timings["pipeline_fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    y_test = fp.label_encoder.encode(y_test_tokens)
-    x_test_ext = pipeline_transform(fp, x_test)
-    timings["pipeline_transform"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bm, x_train_base = baseline_fit(x_train)
-    timings["baseline_fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    x_test_base = baseline_transform(bm, x_test)
-    timings["baseline_transform"] = time.perf_counter() - t0
+    with stage("split", timings):
+        train_d, test_d = train_test_split(d, test_fraction, cfg.seed)
+        x_train, _ = split_xy(train_d)
+        x_test, y_test_tokens = split_xy(test_d)
+    with stage("pipeline_fit", timings):
+        fp, x_train_ext, y_train = pipeline_fit(train_d, cfg)
+    with stage("pipeline_transform", timings):
+        y_test = fp.label_encoder.encode(y_test_tokens)
+        x_test_ext = pipeline_transform(fp, x_test)
+    with stage("baseline_fit", timings):
+        bm, x_train_base = baseline_fit(x_train)
+    with stage("baseline_transform", timings):
+        x_test_base = baseline_transform(bm, x_test)
 
     k = len(fp.label_encoder.classes)
     report = EvalReport(dataset_id=dataset_id, config=cfg.to_dict())
@@ -70,11 +63,10 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
         report.confusions[algo] = {}
         for variant in sorted(variants):
             xtr, xte = variants[variant]
-            t0 = time.perf_counter()
-            model = clf.train(clf.ClassifierSpec(algorithm=algo, seed=cfg.seed),
-                              xtr, y_train)
-            pred = clf.predict(model, xte)
-            timings[f"{algo}/{variant}"] = time.perf_counter() - t0
+            with stage(f"{algo}/{variant}", timings):
+                model = clf.train(clf.ClassifierSpec(algorithm=algo, seed=cfg.seed),
+                                  xtr, y_train)
+                pred = clf.predict(model, xte)
             acc = accuracy(pred, y_test)
             report.accuracies[algo][variant] = acc
             report.confusions[algo][variant] = confusion(pred, y_test, k).tolist()

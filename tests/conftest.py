@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -72,7 +73,24 @@ def make_blob_dataset(n_rows=120, n_numeric=5, n_classes=3, seed=0,
 
 
 def write_dataset_csv(d: Dataset, path: Path) -> Path:
-    d.to_csv(path)
+    """Write the table with a header row; missing cells are empty."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([s.name for s in d.schema])
+        for i in range(d.n_rows):
+            row = []
+            for spec in d.schema:
+                v = d.columns[spec.name][i]
+                if spec.kind == ColumnKind.NUMERIC:
+                    if np.isnan(v):
+                        row.append("")
+                    elif v == int(v) and abs(v) < 1e15:
+                        row.append(str(int(v)))
+                    else:
+                        row.append(repr(float(v)))
+                else:
+                    row.append(str(v))
+            writer.writerow(row)
     return path
 
 

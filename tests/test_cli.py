@@ -1,10 +1,12 @@
 import csv
 import json
 import logging
+import zlib
 
 import numpy as np
 import pytest
 
+from idsfx.classifiers import ALGORITHMS
 from idsfx.cli import main
 from idsfx.pipeline import pipeline_load
 from tests.conftest import make_blob_dataset, write_dataset_csv
@@ -199,6 +201,14 @@ class TestTransform:
         assert len(lines) == 101
         assert len(lines[0].split(",")) == 3
 
+    def test_checksummed_body_that_is_no_pipeline_exit_1(self, blob_csv, tmp_path, capsys):
+        path = tmp_path / "pipeline.json"
+        path.write_text("[]\ncrc32 %08x\n" % (zlib.crc32(b"[]") & 0xFFFFFFFF))
+        assert main(["transform", "--pipeline", str(path), "--dataset", str(blob_csv),
+                     "--out", str(tmp_path / "tr")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestEvaluate:
     def test_outputs_and_determinism(self, blob_csv, tmp_path, capsys):
@@ -211,7 +221,20 @@ class TestEvaluate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         rows = list(csv.reader((a / "report.csv").open()))
         assert len(rows) == 13  # header + 6 classifiers x 2 variants
-        assert json.loads((a / "timings.json").read_text())
+        steps = {"split", "pipeline_fit", "pipeline_transform", "baseline_fit",
+                 "baseline_transform"}
+        steps |= {f"{algo}/{variant}" for algo in ALGORITHMS
+                  for variant in ("baseline", "extracted")}
+        assert set(json.loads((a / "timings.json").read_text())) == steps
+
+    @pytest.mark.parametrize("command,prefix", [
+        ("fit", ""), ("evaluate", "stage 'pipeline_fit': ")])
+    def test_error_names_the_failing_step(self, blob_csv, tmp_path, capsys, command, prefix):
+        out = tmp_path / "run"
+        assert main([command, *_flags(blob_csv, out), "--threshold", "1e9"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}stage 'drop_near_zero_mean': near-zero-mean drop removed "
+            "every numeric column; lower the threshold\n")
 
     def test_report_json_has_no_second_rank_seed_or_timings(self, blob_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

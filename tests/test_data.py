@@ -12,7 +12,7 @@ from idsfx.data import (KDD_FEATURES, ColumnKind, ColumnSpec, Dataset, Profile,
                         load_csv, split_xy, train_test_split)
 from idsfx.errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
 
-from conftest import make_blob_dataset
+from conftest import make_blob_dataset, write_dataset_csv
 
 
 def _write(tmp_path, name, text):
@@ -51,8 +51,8 @@ class TestLoadCsv:
         rows = "\n".join([_kdd_row("normal", 21), _kdd_row("neptune", 15)])
         d = load_csv(_write(tmp_path, "k.csv", rows + "\n"), Profile.NSL_KDD)
         assert d.n_rows == 2
-        assert d.spec_for("difficulty").kind == ColumnKind.IGNORED
-        assert d.spec_for("protocol_type").kind == ColumnKind.CATEGORICAL
+        assert ColumnSpec("difficulty", ColumnKind.IGNORED) in d.schema
+        assert ColumnSpec("protocol_type", ColumnKind.CATEGORICAL) in d.schema
         assert d.label_column == "label"
         assert len([s for s in d.schema if s.kind != ColumnKind.IGNORED]) == 42
 
@@ -77,7 +77,7 @@ class TestLoadCsv:
         p = _write(tmp_path, "c.csv", " Flow Duration , Total Fwd Packets ,Label\n3,4,BENIGN\n")
         d = load_csv(p, "cicids2017")
         assert [s.name for s in d.schema] == ["Flow Duration", "Total Fwd Packets", "Label"]
-        assert d.spec_for("Label").kind == ColumnKind.LABEL
+        assert ColumnSpec("Label", ColumnKind.LABEL) in d.schema
 
     def test_malformed_row_names_index(self, tmp_path):
         p = _write(tmp_path, "t.csv", "a,b,label\n1,2,x\n1,2\n")
@@ -159,9 +159,7 @@ class TestLoadCsv:
     def test_roundtrip_generic(self, tmp_path):
         p = _write(tmp_path, "t.csv", "a,tok,label\n1,foo,x\n,bar,y\n2.5,baz,x\n")
         d = load_csv(p, "generic")
-        out = tmp_path / "rt.csv"
-        d.to_csv(out)
-        d2 = load_csv(out, "generic")
+        d2 = load_csv(write_dataset_csv(d, tmp_path / "rt.csv"), "generic")
         for spec in d.schema:
             a, b = d.columns[spec.name], d2.columns[spec.name]
             if spec.kind == ColumnKind.NUMERIC:

@@ -10,7 +10,7 @@ from idsfx.errors import (ConfigError, IntegrityError, PipelineError,
 from idsfx.nmf import NmfConfig
 from idsfx.pipeline import (FORMAT_VERSION, PipelineConfig, pipeline_fit,
                             pipeline_load, pipeline_save, pipeline_transform,
-                            serialize_pipeline)
+                            serialize_pipeline, stage)
 from tests.conftest import make_blob_dataset
 
 
@@ -208,6 +208,38 @@ class TestPersistence:
             pipeline_save(fp, tmp_path / "pipeline.json")
             sizes.append((tmp_path / "pipeline.json").stat().st_size)
         assert sizes[1] <= 1.1 * sizes[0]
+
+    @pytest.mark.parametrize("body", [
+        '[]', '"x"', '{not json', '{"format_version":"2.0"}', '{"format_version": 2}'])
+    def test_checksummed_body_that_is_no_pipeline_rejected(self, tmp_path, body):
+        path = tmp_path / "pipeline.json"
+        path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
+        with pytest.raises(IntegrityError, match="no pipeline document"):
+            pipeline_load(path)
+
+
+class TestStage:
+    def test_records_wall_seconds_under_its_name(self):
+        timings = {"earlier": 1.0}
+        with stage("work", timings):
+            pass
+        assert set(timings) == {"earlier", "work"} and timings["work"] >= 0.0
+        with stage("untimed"):
+            pass
+
+    def test_names_the_stage_in_its_error_and_records_no_time(self):
+        timings = {}
+        with pytest.raises(PipelineError, match="^stage 'outer': stage 'inner': bad rows$"):
+            with stage("outer", timings), stage("inner", timings):
+                raise SchemaError("bad rows")
+        assert timings == {}
+
+    def test_config_error_passes_through_unchanged(self):
+        err = ConfigError("r=9 exceeds min(p, q)=5")
+        with pytest.raises(ConfigError) as caught:
+            with stage("nmf", {}):
+                raise err
+        assert caught.value is err
 
 
 class TestConfig:

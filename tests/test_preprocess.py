@@ -72,7 +72,7 @@ class TestDropNearZeroMean:
         x, _ = split_xy(d)
         out, dropped = drop_near_zero_mean(x, describe(x), 0.01)
         assert "num_0" in dropped
-        assert out.spec_for("proto").kind == ColumnKind.CATEGORICAL
+        assert ColumnSpec("proto", ColumnKind.CATEGORICAL) in out.schema
 
 
 class TestImpute:
