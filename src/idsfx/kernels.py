@@ -1,13 +1,15 @@
 """Hot numeric kernels: CART tree growth and prediction, and Pegasos SVM SGD.
 
 Each kernel is numpy code vectorized across the axis that carries no
-dependency: classes and features within one SGD step, candidate features
-within one tree node, and rows within one tree level.  The floating-point
-operations and their order are those of plain element-by-element loops, so
-results are bit-identical to the scalar reference kept in
-``tests/scalar_kernels.py``; ``tests/test_kernels.py`` checks that over
-seeded and degenerate inputs.  No BLAS call is used, because BLAS may sum in
-any order.
+dependency: candidate features within one tree node, rows within one tree
+level, and classes and features within one SGD step.  The SVM also evaluates
+a block of upcoming SGD steps at once and keeps them up to the first step
+that updates more than a decay; the buffers behind a block are capped at
+``SVM_BLOCK_CELLS`` cells.  The floating-point operations and their order
+are those of plain element-by-element loops, so results are bit-identical to
+the scalar reference kept in ``tests/scalar_kernels.py``;
+``tests/test_kernels.py`` checks that over seeded and degenerate inputs.  No
+BLAS call is used, because BLAS may sum in any order.
 
 Integer class counts drive every split comparison, which keeps tie-breaking
 exact.  Feature subsampling uses a Park-Miller LCG, so a forest's trees depend
@@ -25,6 +27,10 @@ LCG_MUL = 48271
 # cells (rows x candidate features) at a time; on nodes with more rows, one
 # feature column each.
 SPLIT_BLOCK_CELLS = 4096
+
+# The SVM evaluates as many steps at once as keep its two step-by-class-by-
+# feature float64 buffers at about this many cells each.
+SVM_BLOCK_CELLS = 8192
 
 
 def _lcg_seed(seed):
@@ -173,30 +179,54 @@ def svm_sgd(X, y, n_classes, epochs, lam, perms):
     huge early steps from permanently skewing it.
 
     The bias is kept as column 0 of one weight matrix and the rows get a
-    leading 1.0, so one multiply, decay and update cover both.  Each margin is
-    accumulated left to right, b first, as a scalar loop would sum it; only
-    the classes whose margin is violated are updated.
+    leading 1.0, so one multiply, decay and update cover both.  Most steps
+    only decay the weights, so ``b`` steps are evaluated at once: with the
+    weights in ``acc[0]`` and the step decays in ``acc[1:b+1]``, one
+    multiply-accumulate down the step axis gives the weights before each
+    step, rounded after each decay as ``wb *= decay`` would round them.  Each
+    step's margins are accumulated left to right, bias first, as a scalar
+    loop would sum them.  The first step with a violated class commits its
+    decayed weights and the update of the violated classes, and the next
+    block starts after it; a clean block commits all ``b`` decays.  ``b``
+    doubles after a clean block and halves after a hit, up to the steps whose
+    weight copies fit in ``SVM_BLOCK_CELLS`` cells.
     """
     n, d = X.shape
     xa = np.ones((n, d + 1))
     xa[:, 1:] = X
     target = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
-    wb = np.zeros((n_classes, d + 1))
-    prod = np.empty_like(wb)
-    margin = prod[:, -1]
-    t = 0
-    for e in range(epochs):
-        for i in perms[e].tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            decay = 1.0 - 1.0 / t      # = 1 - eta * lam
-            x = xa[i]
-            tc = target[i]
-            np.multiply(wb, x, out=prod)
-            np.add.accumulate(prod, axis=1, out=prod)
-            wb *= decay
-            violated = tc * margin < 1.0
-            np.add(wb, (eta * tc)[:, None] * x, out=wb, where=violated[:, None])
+    cap = max(1, SVM_BLOCK_CELLS // (n_classes * (d + 1)))
+    acc = np.zeros((cap + 1, n_classes, d + 1))    # acc[0] is the weights
+    prod = np.empty((cap, n_classes, d + 1))
+    rows = perms[:epochs].reshape(-1)
+    xs = np.empty((cap, d + 1))
+    wb = acc[0]
+    steps = rows.size
+    t = 0                                          # steps committed
+    b = 1
+    while t < steps:
+        b = min(b, steps - t)
+        idx = rows[t:t + b]
+        # decay = 1 - eta * lam of each step
+        acc[1:b + 1] = (1.0 - 1.0 / np.arange(t + 1, t + b + 1))[:, None, None]
+        np.multiply.accumulate(acc[:b + 1], axis=0, out=acc[:b + 1])
+        xa.take(idx, axis=0, out=xs[:b])
+        np.multiply(acc[:b], xs[:b, None, :], out=prod[:b])
+        np.add.accumulate(prod[:b], axis=2, out=prod[:b])
+        violated = target[idx] * prod[:b, :, -1] < 1.0
+        first = int(violated.argmax())             # in (step, class) order
+        if not violated.flat[first]:
+            wb[...] = acc[b]
+            t += b
+            b = min(2 * b, cap)
+            continue
+        k = first // n_classes
+        t += k + 1
+        wb[...] = acc[k + 1]
+        eta = 1.0 / (lam * t)
+        tc = target[idx[k]]
+        np.add(wb, (eta * tc)[:, None] * xs[k], out=wb, where=violated[k][:, None])
+        b = max(1, b // 2)
     return np.ascontiguousarray(wb[:, 1:]), wb[:, 0].copy()
 
 

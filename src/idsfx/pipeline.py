@@ -223,8 +223,10 @@ def _to_doc(fp: FittedPipeline) -> dict:
 
 
 def _from_doc(doc: dict) -> FittedPipeline:
-    """Reads only keys that every 1.x and 2.x file carries."""
+    """Reads only keys that every 1.x and 2.x file carries; a bad setting is
+    a ConfigError."""
     cfg = PipelineConfig.from_dict(doc["config"])
+    cfg.validate()
     st = doc["stages"]
     tfidf = None
     if st["tfidf"] is not None:
@@ -233,6 +235,8 @@ def _from_doc(doc: dict) -> FittedPipeline:
                            names=list(t["names"]))
     nd = st["nmf"]
     h = np.array(nd["h"]["data"], dtype=np.float64).reshape(nd["h"]["rows"], nd["h"]["cols"])
+    if h.shape[0] != cfg.u:
+        raise ConfigError(f"U={cfg.u} but the stored NMF factor has {h.shape[0]} components")
     nmf = NmfModel(w=np.empty((0, h.shape[0])), h=h,
                    objective_trace=list(nd["objective_trace"]),
                    iterations_run=nd["iterations_run"], converged=nd["converged"],
@@ -289,6 +293,8 @@ def pipeline_load(path: str | Path) -> FittedPipeline:
                 f"pipeline file format {version!r} is not readable by "
                 f"{FORMAT_VERSION!r} code; re-fit or upgrade")
         return _from_doc(doc)
+    except ConfigError as exc:
+        raise IntegrityError(f"pipeline file holds invalid settings: {exc}") from exc
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(
             f"pipeline file holds no pipeline document ({type(exc).__name__}: {exc})") from exc

@@ -209,6 +209,24 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("config", [{"v": "3"}, {"v": 99}, []])
+    def test_checksummed_file_with_bad_settings_exit_1(self, blob_csv, tmp_path, capsys,
+                                                       config):
+        run = tmp_path / "run"
+        assert main(["fit", *_flags(blob_csv, run)]) == 0
+        doc = json.loads((run / "pipeline.json").read_text().rsplit("\n", 2)[0])
+        doc["config"] = config if isinstance(config, list) else {**doc["config"], **config}
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "pipeline.json"
+        path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
+        out = tmp_path / "tr"
+        capsys.readouterr()
+        assert main(["transform", "--pipeline", str(path), "--dataset", str(blob_csv),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "transformed.csv").exists()
+
 
 class TestEvaluate:
     def test_outputs_and_determinism(self, blob_csv, tmp_path, capsys):

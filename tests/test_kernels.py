@@ -2,6 +2,8 @@
 oracle, determinism, and bit-identical agreement of the vectorized kernels
 with the scalar reference loops in ``scalar_kernels.py``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,56 @@ def test_split_search_blocks_match_scalar_oracle(monkeypatch):
     y = rng.integers(0, 3, 60)
     _assert_same_tree(kernels.grow_tree(X, y, 3, 8, 2, 0),
                       scalar_kernels._grow_tree_impl(X, y, 3, 8, 2, 0))
+
+
+def _svm_block_input(kind):
+    """25 rows and an epoch count that leaves a partial last block at caps of
+    2 and 3 steps and at the default cap."""
+    rng = np.random.default_rng(21)
+    n, n_classes, epochs, lam = 25, 3, 151, 1e-4
+    y = np.arange(n) % n_classes
+    centers = np.array([[-3.0, 0.0, 1.0, 0.0], [3.0, 0.0, -1.0, 0.0], [0.0, 3.0, 0.0, -1.0]])
+    X = centers[y] + rng.normal(0, 0.3, (n, 4))
+    if kind == "high_lam":                # hits every few steps
+        lam, epochs = 0.5, 31
+    elif kind == "noisy_labels":
+        y = np.where(rng.random(n) < 0.3, rng.integers(0, n_classes, n), y)
+        epochs = 53
+    elif kind == "absent_classes":        # class codes 1 and 3 never occur
+        y, n_classes = y * 2, 5
+        epochs = 61
+    perms = np.vstack([rng.permutation(n) for _ in range(epochs)])
+    return X, y, n_classes, epochs, lam, perms
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, None])
+@pytest.mark.parametrize("kind", ["separable", "high_lam", "noisy_labels", "absent_classes"])
+def test_svm_blocks_match_scalar_oracle(monkeypatch, kind, cap):
+    """Blocks capped at 1, 2 and 3 steps, and at the default size, where
+    separable rows give clean runs long enough to reach it."""
+    X, y, n_classes, epochs, lam, perms = _svm_block_input(kind)
+    if cap is not None:
+        monkeypatch.setattr(kernels, "SVM_BLOCK_CELLS", cap * n_classes * (X.shape[1] + 1))
+    w, b = kernels.svm_sgd(X, y, n_classes, epochs, lam, perms)
+    w0, b0 = scalar_kernels._svm_sgd_impl(X, y, n_classes, epochs, lam, perms)
+    assert np.array_equal(w, w0)
+    assert np.array_equal(b, b0)
+
+
+def test_svm_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(0)
+    n, d, n_classes = 3000, 41, 5
+    y = rng.integers(0, n_classes, n)
+    X = rng.normal(size=(n, d))
+    X[np.arange(n), y] += 8.0                 # separable: blocks grow to their cap
+    perms = rng.permutation(n)[None]
+    tracemalloc.start()
+    try:
+        kernels.svm_sgd(X, y, n_classes, 1, 1e-4, perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows with a leading 1.0 and the +-1 targets, then a few buffers of
+    # one block each, allocated once
+    inputs = 8 * n * (d + 1) + 8 * n * n_classes
+    assert peak < inputs + 4 * 8 * kernels.SVM_BLOCK_CELLS

@@ -217,6 +217,22 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match="no pipeline document"):
             pipeline_load(path)
 
+    @pytest.mark.parametrize("config,match", [
+        ({"v": "3"}, "v must be of type"),
+        ({"v": 99}, "1 <= V <= U"),
+        ({"u": 3, "v": 2}, "U=3 but the stored NMF factor has 4 components"),
+        ([], "must be JSON objects")])
+    def test_checksummed_file_with_bad_settings_rejected(self, blob_dataset, tmp_path,
+                                                         config, match):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config())
+        doc = json.loads(serialize_pipeline(fp).decode().rsplit("\n", 2)[0])
+        doc["config"] = config if isinstance(config, list) else {**doc["config"], **config}
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "pipeline.json"
+        path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
+        with pytest.raises(IntegrityError, match="invalid settings: .*" + match):
+            pipeline_load(path)
+
 
 class TestStage:
     def test_records_wall_seconds_under_its_name(self):
