@@ -1,5 +1,13 @@
 """Six built-in classifiers with one train/predict contract.
 
+Each classifier runs at one fixed setting, the one behind every report:
+gaussian_nb floors variances at 1e-9; logistic_regression takes 500
+full-batch softmax steps of 0.1 with L2 weight 1e-4; linear_svm runs 200
+epochs of one-vs-rest Pegasos with lambda 1e-4; knn votes over the 5 nearest
+rows; decision_tree splits every node of 2 or more rows a split improves;
+random_forest grows 100 such trees on bootstrap samples, trying sqrt(m) of m
+features per split.  The module constants below hold these values.
+
 All fitting is deterministic given the ClassifierSpec seed.  The gradient-based models
 (logistic regression, linear SVM) standardize features internally with
 fit-time means/stds, since their fixed step sizes are meaningless across raw
@@ -28,33 +36,18 @@ ALGORITHMS = (
     "random_forest",
 )
 
-DEFAULT_HYPERPARAMS: dict[str, dict] = {
-    "gaussian_nb": {"var_floor": 1e-9},
-    "logistic_regression": {"lr": 0.1, "epochs": 500, "l2": 1e-4},
-    "linear_svm": {"epochs": 200, "lam": 1e-4},
-    "knn": {"k": 5},
-    "decision_tree": {"min_samples_split": 2},
-    "random_forest": {"n_trees": 100, "bootstrap": True,
-                      "max_features": "sqrt", "min_samples_split": 2},
-}
+GNB_VAR_FLOOR = 1e-9
+LOGREG_LR, LOGREG_EPOCHS, LOGREG_L2 = 0.1, 500, 1e-4
+SVM_EPOCHS, SVM_LAM = 200, 1e-4
+KNN_K = 5
+FOREST_TREES = 100
+MIN_SAMPLES_SPLIT = 2
 
 
 @dataclass
 class ClassifierSpec:
     algorithm: str
-    hyperparams: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def resolved_hyperparams(self) -> dict:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        hp = dict(DEFAULT_HYPERPARAMS[self.algorithm])
-        unknown = set(self.hyperparams) - set(hp)
-        if unknown:
-            raise ConfigError(
-                f"{self.algorithm}: unknown hyperparameters {sorted(unknown)}")
-        hp.update(self.hyperparams)
-        return hp
+    seed: int = field(default=0, kw_only=True)
 
 
 @dataclass
@@ -62,7 +55,7 @@ class TrainedClassifier:
     algorithm: str
     classes: np.ndarray          # original class codes seen at training
     state: dict
-    meta: dict
+    meta: dict                   # {"features": training column count}
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -77,7 +70,8 @@ def _standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(spec: ClassifierSpec, x, y: np.ndarray) -> TrainedClassifier:
-    hp = spec.resolved_hyperparams()
+    if spec.algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {spec.algorithm!r}")
     xv = _as_matrix(x)
     y = np.asarray(y, dtype=np.int64)
     if xv.shape[0] != y.shape[0]:
@@ -92,10 +86,9 @@ def train(spec: ClassifierSpec, x, y: np.ndarray) -> TrainedClassifier:
     yk = np.searchsorted(classes, y)   # compact codes 0..k-1
 
     fitter = _FITTERS[spec.algorithm]
-    state = fitter(xv, yk, classes.size, hp, spec.seed)
-    meta = {"rows": int(xv.shape[0]), "features": int(xv.shape[1]), "seed": spec.seed}
+    state = fitter(xv, yk, classes.size, spec.seed)
     return TrainedClassifier(algorithm=spec.algorithm, classes=classes,
-                             state=state, meta=meta)
+                             state=state, meta={"features": int(xv.shape[1])})
 
 
 def predict(model: TrainedClassifier, x) -> np.ndarray:
@@ -111,7 +104,7 @@ def predict(model: TrainedClassifier, x) -> np.ndarray:
 
 # ---------------------------------------------------------------- gaussian nb
 
-def _fit_gnb(x, y, k, hp, seed):
+def _fit_gnb(x, y, k, seed):
     d = x.shape[1]
     theta = np.empty((k, d))
     var = np.empty((k, d))
@@ -119,7 +112,7 @@ def _fit_gnb(x, y, k, hp, seed):
     for c in range(k):
         xc = x[y == c]
         theta[c] = xc.mean(axis=0)
-        var[c] = np.maximum(xc.var(axis=0), hp["var_floor"])
+        var[c] = np.maximum(xc.var(axis=0), GNB_VAR_FLOOR)
         prior[c] = xc.shape[0] / x.shape[0]
     return {"theta": theta, "var": var, "log_prior": np.log(prior)}
 
@@ -136,7 +129,7 @@ def _predict_gnb(state, x):
 
 # ------------------------------------------------------- logistic regression
 
-def _fit_logreg(x, y, k, hp, seed):
+def _fit_logreg(x, y, k, seed):
     mu, sd = _standardize_fit(x)
     xs = (x - mu) / sd
     n, d = xs.shape
@@ -144,15 +137,14 @@ def _fit_logreg(x, y, k, hp, seed):
     b = np.zeros(k)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
-    lr, l2 = hp["lr"], hp["l2"]
-    for _ in range(hp["epochs"]):
+    for _ in range(LOGREG_EPOCHS):
         scores = xs @ w.T + b
         scores -= scores.max(axis=1, keepdims=True)
         p = np.exp(scores)
         p /= p.sum(axis=1, keepdims=True)
         diff = p - onehot
-        w -= lr * (diff.T @ xs / n + l2 * w)
-        b -= lr * diff.mean(axis=0)
+        w -= LOGREG_LR * (diff.T @ xs / n + LOGREG_L2 * w)
+        b -= LOGREG_LR * diff.mean(axis=0)
     return {"w": w, "b": b, "mu": mu, "sd": sd}
 
 
@@ -163,15 +155,15 @@ def _predict_linear(state, x):
 
 # ------------------------------------------------------------------ linear svm
 
-def _fit_svm(x, y, k, hp, seed):
+def _fit_svm(x, y, k, seed):
     mu, sd = _standardize_fit(x)
     xs = np.ascontiguousarray((x - mu) / sd)
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
-    perms = np.empty((hp["epochs"], n), dtype=np.int64)
-    for e in range(hp["epochs"]):
+    perms = np.empty((SVM_EPOCHS, n), dtype=np.int64)
+    for e in range(SVM_EPOCHS):
         perms[e] = rng.permutation(n)
-    w, b = kernels.svm_sgd(xs, y, k, hp["epochs"], hp["lam"], perms)
+    w, b = kernels.svm_sgd(xs, y, k, SVM_EPOCHS, SVM_LAM, perms)
     return {"w": w, "b": b, "mu": mu, "sd": sd}
 
 
@@ -182,10 +174,8 @@ def _fit_svm(x, y, k, hp, seed):
 KNN_BLOCK_CELLS = 1 << 20
 
 
-def _fit_knn(x, y, k, hp, seed):
-    if hp["k"] < 1:
-        raise ConfigError("knn needs k >= 1")
-    return {"x": x, "y": y, "k": int(min(hp["k"], x.shape[0])),
+def _fit_knn(x, y, k, seed):
+    return {"x": x, "y": y, "k": min(KNN_K, x.shape[0]),
             "n_classes": int(max(k, 1))}
 
 
@@ -244,8 +234,8 @@ def _tree_state(arrays) -> dict:
     }
 
 
-def _fit_tree(x, y, k, hp, seed):
-    arrays = kernels.grow_tree(x, y, k, x.shape[1], hp["min_samples_split"], seed)
+def _fit_tree(x, y, k, seed):
+    arrays = kernels.grow_tree(x, y, k, x.shape[1], MIN_SAMPLES_SPLIT, seed)
     return _tree_state(arrays)
 
 
@@ -256,37 +246,25 @@ def _predict_tree(state, x):
 
 # -------------------------------------------------------------- random forest
 
-def _fit_forest(x, y, k, hp, seed):
+def _fit_forest(x, y, k, seed):
     n, m = x.shape
-    if hp["max_features"] == "sqrt":
-        m_try = max(1, int(np.sqrt(m)))
-    elif hp["max_features"] == "all":
-        m_try = m
-    else:
-        m_try = int(hp["max_features"])
-        if not (1 <= m_try <= m):
-            raise ConfigError(f"max_features must be in [1, {m}]")
+    m_try = max(1, int(np.sqrt(m)))
     rng = np.random.default_rng(seed)
     trees = []
     short = 0   # trees whose bootstrap sample lacks a class
-    for _ in range(hp["n_trees"]):
-        if hp["bootstrap"]:
-            boot = rng.integers(0, n, n)
-            if np.unique(y[boot]).size < k:
-                boot = rng.integers(0, n, n)  # resample once
-            # rare classes legitimately vanish from a bootstrap sample;
-            # the tree simply never votes for them
-            short += np.unique(y[boot]).size < k
-            xt = np.ascontiguousarray(x[boot])
-            yt = np.ascontiguousarray(y[boot])
-        else:
-            xt, yt = x, y
+    for _ in range(FOREST_TREES):
+        boot = rng.integers(0, n, n)
+        if np.unique(y[boot]).size < k:
+            boot = rng.integers(0, n, n)  # resample once
+        # rare classes legitimately vanish from a bootstrap sample;
+        # the tree simply never votes for them
+        short += np.unique(y[boot]).size < k
         tree_seed = int(rng.integers(1, kernels.LCG_MOD - 1))
         trees.append(_tree_state(kernels.grow_tree(
-            xt, yt, k, m_try, hp["min_samples_split"], tree_seed)))
+            x[boot], y[boot], k, m_try, MIN_SAMPLES_SPLIT, tree_seed)))
     if short:
         log.warning("bootstrap samples of %d of %d trees lost class(es); "
-                    "grew them anyway", short, hp["n_trees"])
+                    "grew them anyway", short, FOREST_TREES)
     return {"trees": trees, "n_classes": k}
 
 

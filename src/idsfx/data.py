@@ -2,10 +2,11 @@
 
 Supported inputs are comma-delimited CSV files from three intrusion-detection
 dataset families (NSL-KDD, CICIDS-2017, the Kaggle military-environment dump)
-plus a header-driven generic profile.  Numeric cells are stored as float64
-with NaN standing for the explicit Missing state; the recognized missing
-markers are "", "nan", "infinity" and "-infinity" (case-insensitive), and
-every other non-finite value is Missing too.
+plus a header-driven generic profile, whose label column ``load_csv`` finds
+by name or takes from its ``label_column`` argument.  Numeric cells are stored
+as float64 with NaN standing for the explicit Missing state; the recognized
+missing markers are "", "nan", "infinity" and "-infinity" (case-insensitive),
+and every other non-finite value is Missing too.
 
 The file is split into lines once; the header (or the first data row of a
 headerless NSL-KDD file) is read with the csv module.  The data lines are
@@ -246,29 +247,21 @@ _LABEL_NAMES = ("label", "class", "target", "labels")
 
 
 def _generic_schema(header: list[str], rows: list[list[str]],
-                    overrides: dict | None) -> list[ColumnSpec]:
-    overrides = overrides or {}
+                    label_col: str | None) -> list[ColumnSpec]:
     names = [h.strip() for h in header]
     if len(set(names)) != len(names):
         raise SchemaError(f"duplicate column names in header: {names}")
-    label_col = overrides.get("label_column")
     if label_col is None:
         for n in names:
             if n.lower() in _LABEL_NAMES:
                 label_col = n
                 break
     if label_col is None or label_col not in names:
-        raise SchemaError("no resolvable label column; pass overrides={'label_column': ...}")
-    forced_cat = set(overrides.get("categorical", ()))
-    ignored = set(overrides.get("ignored", ()))
+        raise SchemaError("no resolvable label column; pass label_column=...")
     specs = []
     for j, n in enumerate(names):
         if n == label_col:
             specs.append(ColumnSpec(n, ColumnKind.LABEL))
-        elif n in ignored:
-            specs.append(ColumnSpec(n, ColumnKind.IGNORED))
-        elif n in forced_cat:
-            specs.append(ColumnSpec(n, ColumnKind.CATEGORICAL))
         else:
             try:
                 for row in rows:
@@ -280,14 +273,16 @@ def _generic_schema(header: list[str], rows: list[list[str]],
 
 
 def load_csv(path: str | Path, profile: Profile | str,
-             overrides: dict | None = None) -> Dataset:
+             label_column: str | None = None) -> Dataset:
     """Load a CSV file under the schema rules of the given profile.
 
     NSL-KDD / MilitaryKaggle files carry the 41 canonical connection features
     plus label (plus an optional trailing difficulty column, marked Ignored);
     a header row is detected and skipped when present.  CICIDS-2017 files are
     header-driven with surrounding whitespace trimmed from names and the
-    "Label" column designated as the label.  Generic requires a header.
+    "Label" column designated as the label.  Generic requires a header; its
+    label is ``label_column``, else the first column named label, class,
+    target or labels (any case).
     """
     if isinstance(profile, str):
         try:
@@ -304,7 +299,7 @@ def load_csv(path: str | Path, profile: Profile | str,
         data = [row for row in reader if row]
         if not data:
             raise DatasetError("generic profile requires a header row and at least one data row")
-        schema = _generic_schema(first, data, overrides)
+        schema = _generic_schema(first, data, label_column)
         del data, lines[:start]
         return Dataset(schema=schema, columns=_parse_lines(lines, schema))
     if profile is Profile.CICIDS2017:

@@ -75,6 +75,8 @@ class PipelineConfig:
             raise ConfigError(f"V must satisfy 1 <= V <= U, got V={self.v}, U={self.u}")
         if not self.drop_threshold >= 0:    # NaN fails too
             raise ConfigError("drop_threshold must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

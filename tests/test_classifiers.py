@@ -22,6 +22,17 @@ def blobs(n_per=20, centers=((-2, -2), (2, 2)), spread=0.3, seed=0):
     return np.vstack(xs), np.concatenate(ys).astype(np.int64)
 
 
+def knn_state(x, y, k, n_classes):
+    """The k-NN state ``train`` builds, at any k: training runs at KNN_K."""
+    return {"x": x, "y": y, "k": min(k, len(x)), "n_classes": n_classes}
+
+
+def knn1(x, y):
+    classes = np.unique(y)
+    state = knn_state(x, np.searchsorted(classes, y), 1, classes.size)
+    return TrainedClassifier("knn", classes, state, {"features": x.shape[1]})
+
+
 class TestContracts:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_blobs_high_accuracy(self, algo):
@@ -81,13 +92,15 @@ class TestContracts:
         model = train(ClassifierSpec("knn"), x, y)
         assert (predict(model, x) == 0).all()
 
-    def test_unknown_hyperparameter(self):
-        with pytest.raises(ConfigError):
-            ClassifierSpec("knn", {"bogus": 1}).resolved_hyperparams()
-
     def test_unknown_algorithm(self):
-        with pytest.raises(ConfigError):
-            ClassifierSpec("boosted_trees").resolved_hyperparams()
+        x, y = blobs()
+        with pytest.raises(ConfigError, match="unknown algorithm 'boosted_trees'"):
+            train(ClassifierSpec("boosted_trees"), x, y)
+
+    def test_seed_is_keyword_only(self):
+        # a settings dict in the second place must not pass as the seed
+        with pytest.raises(TypeError):
+            ClassifierSpec("knn", {"k": 1})
 
 
 class TestLinearSvm:
@@ -110,7 +123,7 @@ class TestKnn:
     def test_k1_memorizes_single_point(self):
         x = np.tile([[1.0, 2.0]], (3, 1))
         y = np.array([5, 5, 5], dtype=np.int64)
-        model = train(ClassifierSpec("knn", {"k": 1}), x, y)
+        model = knn1(x, y)
         q = np.random.default_rng(2).random((4, 2)) * 10
         assert (predict(model, q) == 5).all()
 
@@ -118,14 +131,21 @@ class TestKnn:
         rng = np.random.default_rng(8)
         x = rng.random((30, 3))
         y = rng.integers(0, 4, 30)
-        model = train(ClassifierSpec("knn", {"k": 1}), x, y)
+        model = knn1(x, y)
         assert np.array_equal(predict(model, x), y)
 
     def test_distance_tie_lower_index_wins(self):
         x = np.array([[0.0], [2.0]])  # query at 1.0 is equidistant
         y = np.array([3, 7], dtype=np.int64)
-        model = train(ClassifierSpec("knn", {"k": 1}), x, y)
+        model = knn1(x, y)
         assert predict(model, np.array([[1.0]]))[0] == 3
+
+    def test_train_votes_over_knn_k_rows_or_all(self):
+        x, y = blobs()
+        for rows in (3, len(x)):
+            state = train(ClassifierSpec("knn"), x[:rows], y[:rows]).state
+            assert state.keys() == knn_state(x, y, 1, 2).keys()
+            assert state["k"] == min(classifiers.KNN_K, rows)
 
     @pytest.mark.parametrize("block_rows", [None, 1, 7])
     @given(seed=st.integers(0, 2**32 - 1))
@@ -147,7 +167,7 @@ class TestKnn:
         n_classes = present + int(rng.integers(0, 2))
         y = rng.integers(0, present, n)
         k = int(rng.choice([1, rng.integers(1, n + 4), n, n + 3]))
-        state = classifiers._fit_knn(x, y, n_classes, {"k": k}, 0)
+        state = knn_state(x, y, k, n_classes)
         q = np.vstack([draw(int(rng.integers(0, 12))),
                        x[rng.integers(0, n, rng.integers(0, 6))]])
         q = q[rng.permutation(len(q))]
@@ -238,19 +258,9 @@ class TestTrees:
         model = train(ClassifierSpec("decision_tree"), x, y)
         assert np.array_equal(predict(model, x), y)
 
-    def test_forest_single_tree_equals_decision_tree(self):
-        x, y = blobs(n_per=30, centers=((-1, -1), (1, 1), (3, -2)), seed=5)
-        dt = train(ClassifierSpec("decision_tree", seed=7), x, y)
-        rf = train(ClassifierSpec(
-            "random_forest",
-            {"n_trees": 1, "bootstrap": False, "max_features": "all"},
-            seed=7), x, y)
-        q = np.random.default_rng(9).random((40, 2)) * 6 - 3
-        assert np.array_equal(predict(dt, q), predict(rf, q))
-
     def test_forest_vote_matches_brute_force_tally(self):
         x, y = blobs(n_per=15, centers=((-2, 0), (2, 0)), seed=11)
-        spec = ClassifierSpec("random_forest", {"n_trees": 7}, seed=3)
+        spec = ClassifierSpec("random_forest", seed=3)
         model = train(spec, x, y)
         q = np.random.default_rng(1).random((20, 2)) * 4 - 2
         from idsfx.classifiers import _predict_tree
@@ -268,8 +278,8 @@ class TestTrees:
         y[:30] = 1
         y[0] = 2  # singleton class will vanish from most bootstrap samples
         with caplog.at_level("WARNING", logger="idsfx.classifiers"):
-            model = train(ClassifierSpec("random_forest", {"n_trees": 10}, seed=1), x, y)
+            model = train(ClassifierSpec("random_forest", seed=1), x, y)
         assert predict(model, x).shape == (60,)
         # one line for the forest, however many of its trees lost the class
         assert len(caplog.records) == 1
-        assert "of 10 trees lost class(es)" in caplog.records[0].getMessage()
+        assert "of 100 trees lost class(es)" in caplog.records[0].getMessage()

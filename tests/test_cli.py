@@ -160,6 +160,17 @@ class TestFit:
         fp = pipeline_load(out / "pipeline.json")
         assert fp.config.seed == fp.nmf.config.seed == seed
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("doc,flags", [
+        ({}, ["--seed", "-1"]), ({"seed": -1}, []), ({"pipeline": {"seed": -1}}, [])])
+    def test_negative_seed_exit_2_before_reading_data(self, blob_csv, tmp_path, no_data_read,
+                                                      capsys, command, doc, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), **doc}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     *flags]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_differing_top_level_and_pipeline_seeds_exit_2(self, blob_csv, tmp_path,
                                                            no_data_read, capsys):
         cfg = tmp_path / "cfg.json"

@@ -129,7 +129,7 @@ class TestLoadCsv:
 
     def test_label_override(self, tmp_path):
         p = _write(tmp_path, "t.csv", "a,b,c\n1,2,x\n")
-        d = load_csv(p, "generic", overrides={"label_column": "c"})
+        d = load_csv(p, "generic", label_column="c")
         assert d.label_column == "c"
 
     def test_empty_file(self, tmp_path):

@@ -221,7 +221,8 @@ class TestPersistence:
         ({"v": "3"}, "v must be of type"),
         ({"v": 99}, "1 <= V <= U"),
         ({"u": 3, "v": 2}, "U=3 but the stored NMF factor has 4 components"),
-        ([], "must be JSON objects")])
+        ([], "must be JSON objects"),
+        ({"seed": -1}, "seed must be >= 0")])
     def test_checksummed_file_with_bad_settings_rejected(self, blob_dataset, tmp_path,
                                                          config, match):
         fp, _, _ = pipeline_fit(blob_dataset, small_config())
