@@ -130,21 +130,35 @@ def _predict_gnb(state, x):
 # ------------------------------------------------------- logistic regression
 
 def _fit_logreg(x, y, k, seed):
+    """Full-batch softmax regression on standardized features.
+
+    The softmax lives in one class-major ``(k, n)`` buffer, so every
+    reduction runs down the short class axis as a few long row operations.
+    Each value is computed as the row-major ``(n, k)`` form computes it: both
+    BLAS products see the same operands and layouts; the maximum is exact;
+    the row totals add the classes in order below 8 classes, as numpy does
+    for such short rows, and from a row-major copy at 8 or more, where numpy
+    sums pairwise; and the bias gradient adds the rows in order, as the
+    row-major ``mean(axis=0)`` does.
+    """
     mu, sd = _standardize_fit(x)
     xs = (x - mu) / sd
     n, d = xs.shape
     w = np.zeros((k, d))
     b = np.zeros(k)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    onehot = np.zeros((k, n))
+    onehot[y, np.arange(n)] = 1.0
+    s = np.empty((k, n))
+    diff = np.empty((n, k))   # row-major copy for the weight gradient
     for _ in range(LOGREG_EPOCHS):
-        scores = xs @ w.T + b
-        scores -= scores.max(axis=1, keepdims=True)
-        p = np.exp(scores)
-        p /= p.sum(axis=1, keepdims=True)
-        diff = p - onehot
+        np.add((xs @ w.T).T, b[:, None], out=s)
+        s -= s.max(axis=0)
+        np.exp(s, out=s)
+        s /= s.sum(axis=0) if k < 8 else np.ascontiguousarray(s.T).sum(axis=1)
+        s -= onehot
+        np.copyto(diff, s.T)
         w -= LOGREG_LR * (diff.T @ xs / n + LOGREG_L2 * w)
-        b -= LOGREG_LR * diff.mean(axis=0)
+        b -= LOGREG_LR * (np.cumsum(s, axis=1)[:, -1] / n)
     return {"w": w, "b": b, "mu": mu, "sd": sd}
 
 
@@ -192,7 +206,9 @@ def _predict_knn(state, x):
     Where more than ``k`` rows lie within it, a running count of the rows at
     that distance keeps the lowest indices.  Rows with fewer than ``k``
     comparable distances (NaN from overflowing or non-finite cells) are
-    sorted.  Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances.
+    sorted.  Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances,
+    each built in place in one buffer by the same operations in the same
+    order as the expression above.
     """
     xt, yt = state["x"], state["y"]
     k, n_classes = state["k"], state["n_classes"]
@@ -201,7 +217,10 @@ def _predict_knn(state, x):
     step = max(1, KNN_BLOCK_CELLS // xt.shape[0])
     for lo in range(0, x.shape[0], step):
         xc = x[lo:lo + step]
-        d2 = np.einsum("ij,ij->i", xc, xc)[:, None] - 2.0 * (xc @ xt.T) + sq_t
+        d2 = xc @ xt.T
+        d2 *= 2.0
+        np.subtract(np.einsum("ij,ij->i", xc, xc)[:, None], d2, out=d2)
+        d2 += sq_t
         near = np.argpartition(d2, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(d2, near, axis=1).max(axis=1)[:, None]
         within = np.count_nonzero(d2 <= kth, axis=1)   # 0 where kth is NaN

@@ -25,7 +25,7 @@ from .evaluate import export_report, pearson_corr
 from .pipeline import (PipelineConfig, check_field_types, pipeline_fit,
                        pipeline_load, pipeline_save, pipeline_transform)
 from .preprocess import baseline_fit, describe, encode_labels
-from .runner import run_evaluation
+from .runner import check_algorithms, run_evaluation
 from .select import chi2_scores, report_to_csv, select_k_best
 
 log = logging.getLogger(__name__)
@@ -100,9 +100,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     check_field_types(cfg)
     if not 0 < cfg.test_fraction < 1:    # NaN fails too
         raise ConfigError(f"test_fraction must be in (0,1), got {cfg.test_fraction}")
-    if not (isinstance(cfg.classifiers, list) and all(c in ALGORITHMS for c in cfg.classifiers)):
+    if not isinstance(cfg.classifiers, list):
         raise ConfigError(f"classifiers must be a list of {list(ALGORITHMS)}, "
                           f"got {cfg.classifiers!r}")
+    check_algorithms(cfg.classifiers)
     if not cfg.dataset:
         raise ConfigError("no dataset given; use --dataset or a config file")
     cfg.pipeline.validate()

@@ -20,6 +20,17 @@ from .preprocess import baseline_fit, baseline_transform
 log = logging.getLogger(__name__)
 
 
+def check_algorithms(algorithms: list[str]) -> None:
+    """Raise ConfigError unless every name is a known classifier, given once."""
+    for a in algorithms:
+        if a not in clf.ALGORITHMS:
+            raise ConfigError(f"unknown classifier {a!r}; choose from {list(clf.ALGORITHMS)}")
+    repeated = sorted({a for a in algorithms if algorithms.count(a) > 1})
+    if repeated:
+        raise ConfigError(f"classifier(s) {', '.join(map(repr, repeated))} "
+                          "listed more than once")
+
+
 def run_evaluation(d: Dataset, cfg: PipelineConfig,
                    algorithms: list[str] | None = None,
                    test_fraction: float = 0.25, dataset_id: str = "dataset"
@@ -31,10 +42,9 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
     error names the step.  Timings live outside the report so report files
     stay byte-reproducible.
     """
-    algorithms = sorted(algorithms if algorithms is not None else clf.ALGORITHMS)
-    for a in algorithms:
-        if a not in clf.ALGORITHMS:
-            raise ConfigError(f"unknown classifier {a!r}")
+    algorithms = list(clf.ALGORITHMS if algorithms is None else algorithms)
+    check_algorithms(algorithms)
+    algorithms.sort()
     cfg.validate()
     timings: dict[str, float] = {}
 

@@ -6,10 +6,15 @@ vectorized numpy code.  The arithmetic of every step is the same in both, so
 these bodies as they are; they are the definition the fast kernels must meet.
 ``predict_knn_sorted`` is the same for k-NN prediction in
 ``idsfx.classifiers``: it sorts every distance row, where the fast version
-selects the k nearest (``tests/test_classifiers.py``).
+selects the k nearest (``tests/test_classifiers.py``).  It also still forms
+each distance block as one expression of temporaries, where the fast version
+builds it in one buffer.  ``fit_logreg_rowmajor`` is the row-major softmax fit
+that ``idsfx.classifiers._fit_logreg`` replaced with a class-major one.
 """
 
 import numpy as np
+
+from idsfx.classifiers import LOGREG_EPOCHS, LOGREG_L2, LOGREG_LR
 
 LCG_MOD = 2147483647   # 2^31 - 1 (Park-Miller)
 LCG_MUL = 48271
@@ -238,3 +243,24 @@ def predict_knn_sorted(state, x, chunk: int = 512):
             counts = np.bincount(votes[i], minlength=state["n_classes"])
             out[lo + i] = int(np.argmax(counts))  # vote ties: lowest class code
     return out
+
+
+def fit_logreg_rowmajor(x, y, k):
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    xs = (x - mu) / sd
+    n, d = xs.shape
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(LOGREG_EPOCHS):
+        scores = xs @ w.T + b
+        scores -= scores.max(axis=1, keepdims=True)
+        p = np.exp(scores)
+        p /= p.sum(axis=1, keepdims=True)
+        diff = p - onehot
+        w -= LOGREG_LR * (diff.T @ xs / n + LOGREG_L2 * w)
+        b -= LOGREG_LR * diff.mean(axis=0)
+    return {"w": w, "b": b, "mu": mu, "sd": sd}

@@ -10,7 +10,7 @@ from idsfx import classifiers
 from idsfx.classifiers import (ALGORITHMS, ClassifierSpec, TrainedClassifier,
                                predict, train)
 from idsfx.errors import ConfigError, DomainError, SchemaError
-from scalar_kernels import predict_knn_sorted
+from scalar_kernels import fit_logreg_rowmajor, predict_knn_sorted
 
 
 def blobs(n_per=20, centers=((-2, -2), (2, 2)), spread=0.3, seed=0):
@@ -119,6 +119,36 @@ class TestLinearSvm:
         assert np.mean(predict(model, x) == y) == 1.0
 
 
+class TestLogisticRegression:
+    @staticmethod
+    def fixture(seed, n, d, k):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4, 4, d)
+        if d > 1:
+            x[:, rng.integers(0, d)] = rng.normal()    # a constant column
+        y = np.concatenate([np.arange(k), rng.integers(0, k - 1, n - k)])
+        return x, y[rng.permutation(n)]                # class k-1 has one row
+
+    @staticmethod
+    def assert_matches_oracle(x, y, k):
+        got = classifiers._fit_logreg(x, y, k, 0)
+        want = fit_logreg_rowmajor(x, y, k)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    # numpy sums a row of 8 or more classes pairwise and a shorter one in
+    # order; more than 128 classes also takes its pairwise recursion
+    @pytest.mark.parametrize("k", [*range(2, 13), 131])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_class_major_fit_matches_row_major_oracle(self, k, seed):
+        x, y = self.fixture(seed, n=2 * k + 40, d=1 + seed * 6, k=k)
+        self.assert_matches_oracle(x, y, k)
+
+    def test_two_rows_match_row_major_oracle(self):
+        self.assert_matches_oracle(np.array([[3.0], [-1.0]]), np.array([1, 0]), 2)
+
+
 class TestKnn:
     def test_k1_memorizes_single_point(self):
         x = np.tile([[1.0, 2.0]], (3, 1))
@@ -200,6 +230,21 @@ class TestKnn:
             tracemalloc.stop()
         # a few float64/int64 arrays of one block, not one per 512 query rows
         assert peak < 6 * 8 * classifiers.KNN_BLOCK_CELLS
+
+    def test_predict_builds_each_distance_block_in_one_buffer(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((20000, 20))
+        model = train(ClassifierSpec("knn"), x, rng.integers(0, 3, 20000))
+        q = rng.random((2000, 20))
+        tracemalloc.start()
+        try:
+            predict(model, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a distance block, the one before it and the partition's indices
+        # come to 3 blocks; forming the distances from temporaries adds one
+        assert peak < 3.5 * 8 * classifiers.KNN_BLOCK_CELLS
 
 
 class TestGaussianNb:

@@ -116,6 +116,16 @@ class TestFit:
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("names", [["knn", "knn"], ["knn", "gaussian_nb", "knn"]])
+    def test_repeated_classifier_exit_2_before_reading_data(self, blob_csv, tmp_path,
+                                                            no_data_read, capsys, names):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), "classifiers": names}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'knn'" in err[0]
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("doc,keys", [
         ({"pipeline": {"compnents": 4}, "clasifiers": ["knn"]}, ["clasifiers"]),
         ({"pipeline": {"compnents": 4}}, ["compnents"]),

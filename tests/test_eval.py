@@ -177,3 +177,16 @@ class TestRunEvaluation:
         assert "lone" in fp.label_encoder.classes
         matrix = np.array(report.confusions["gaussian_nb"]["extracted"])
         assert matrix[fp.label_encoder.classes.index("lone")].sum() == 0
+
+    @pytest.mark.parametrize("algorithms,match", [
+        (["knn", "knn"], "'knn' listed more than once"),
+        (["gaussian_nb", "knn", "gaussian_nb"], "'gaussian_nb' listed more than once"),
+        (["knn", 5], "unknown classifier 5")])
+    def test_bad_classifier_list_is_refused_before_the_split(self, algorithms, match,
+                                                             monkeypatch):
+        def no_split(*args):
+            raise AssertionError("data split despite a bad classifier list")
+        monkeypatch.setattr("idsfx.runner.train_test_split", no_split)
+        d = make_blob_dataset(60, 4, 3, seed=0)
+        with pytest.raises(ConfigError, match=match):
+            run_evaluation(d, PipelineConfig(u=3, v=2), algorithms=algorithms)
