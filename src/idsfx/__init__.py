@@ -6,7 +6,7 @@ from .errors import (ConfigError, DatasetError, DomainError, EmptyDatasetError,
                      IdsfxError, IntegrityError, PipelineError, SchemaError,
                      VersionError)
 from .matrix import FeatureMatrix
-from .nmf import NmfConfig, NmfModel, nmf_fit, nmf_transform, nndsvd_init, reconstruction_error
+from .nmf import NmfModel, nmf_fit, nmf_transform
 from .pipeline import (FittedPipeline, PipelineConfig, pipeline_fit,
                        pipeline_load, pipeline_save, pipeline_transform)
 from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
@@ -17,8 +17,7 @@ __all__ = [
     "ColumnKind", "ColumnSpec", "Dataset", "Profile",
     "load_csv", "split_xy", "train_test_split",
     "FeatureMatrix",
-    "NmfConfig", "NmfModel", "nmf_fit", "nmf_transform", "nndsvd_init",
-    "reconstruction_error",
+    "NmfModel", "nmf_fit", "nmf_transform",
     "FittedPipeline", "PipelineConfig", "pipeline_fit", "pipeline_load",
     "pipeline_save", "pipeline_transform",
     "Chi2Report", "apply_selection", "chi2_scores", "select_k_best",

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, split_xy
 from .errors import ConfigError, IdsfxError, IntegrityError, PipelineError, SchemaError, VersionError
 from .matrix import FeatureMatrix
-from .nmf import NmfConfig, NmfModel, nmf_fit, nmf_transform
+from .nmf import MAX_ITER, TOL, NmfModel, nmf_fit, nmf_transform
 from .preprocess import (DEFAULT_DROP_THRESHOLD, BaselineModel, CategoricalEncoder,
                          ImputeModel, LabelEncoder, TfidfModel, baseline_fit,
                          baseline_transform, describe, drop_near_zero_mean,
@@ -36,7 +36,8 @@ from .select import Chi2Report, apply_selection, chi2_scores, select_k_best
 FORMAT_VERSION = "2.0"
 _READABLE_MAJORS = ("1", "2")    # 1.x files carry extra keys that loading ignores
 
-_NMF_KEYS = ("init", "max_iter", "tol")
+# the NMF solver setting, written under "nmf" and the only one accepted there
+_NMF_SETTING = {"init": "random", "max_iter": MAX_ITER, "tol": TOL}
 _KINDS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
@@ -54,23 +55,18 @@ def check_field_types(obj) -> None:
 @dataclass
 class PipelineConfig:
     """Each setting has one field: ``u`` is also the NMF rank and ``seed`` the
-    NMF seed; the ``nmf_*`` solver settings persist under the ``"nmf"`` key."""
+    NMF seed.  The NMF solver runs at one fixed setting, recorded under the
+    ``"nmf"`` key."""
     u: int = 30                    # NMF component count
     v: int = 20                    # univariate-selected feature count
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
     tfidf_enabled: bool = True
     seed: int = 0
-    nmf_init: str = NmfConfig.init
-    nmf_max_iter: int = NmfConfig.max_iter
-    nmf_tol: float = NmfConfig.tol
-
-    def nmf_config(self) -> NmfConfig:
-        return NmfConfig(r=self.u, init=self.nmf_init, max_iter=self.nmf_max_iter,
-                         tol=self.nmf_tol, seed=self.seed)
 
     def validate(self) -> None:
         check_field_types(self)
-        self.nmf_config().validate()    # checks U, the NMF rank, is >= 1
+        if self.u < 1:
+            raise ConfigError("component count r must be >= 1")
         if not (1 <= self.v <= self.u):
             raise ConfigError(f"V must satisfy 1 <= V <= U, got V={self.v}, U={self.u}")
         if not self.drop_threshold >= 0:    # NaN fails too
@@ -79,20 +75,20 @@ class PipelineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["nmf"] = {key: d.pop("nmf_" + key) for key in _NMF_KEYS}
-        return d
+        return {**asdict(self), "nmf": dict(_NMF_SETTING)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Missing keys take the defaults; 1.0 files' ``nmf.r``/``nmf.seed`` are ignored."""
+        """Missing keys take the defaults; an ``nmf`` value other than the
+        fixed one is a ConfigError; 1.0 files' ``nmf.r``/``nmf.seed`` are ignored."""
         if not isinstance(d, dict) or not isinstance(d.get("nmf", {}), dict):
             raise ConfigError("pipeline settings and their 'nmf' entry must be JSON objects")
+        for key, fixed in _NMF_SETTING.items():
+            value = d.get("nmf", {}).get(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ConfigError(f"nmf {key!r} is fixed at {fixed!r}, got {value!r}")
         names = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in names and not k.startswith("nmf_")}
-        nmf = d.get("nmf", {})
-        kw.update({"nmf_" + key: nmf[key] for key in _NMF_KEYS if key in nmf})
-        return cls(**kw)
+        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 def _fingerprint(x: Dataset) -> dict:
@@ -146,8 +142,7 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
             tfidf = tfidf_fit(fm)
             fm = tfidf_apply(tfidf, fm)
     with stage("nmf"):
-        model = nmf_fit(fm, cfg.nmf_config())
-        model.w = model.w[:0].copy()    # the training rows' W is not part of the model
+        model = nmf_fit(fm, cfg.u, cfg.seed)
         w = nmf_transform(model, fm)
     with stage("chi2_select"):
         scores = chi2_scores(w, codes)
@@ -239,10 +234,8 @@ def _from_doc(doc: dict) -> FittedPipeline:
     h = np.array(nd["h"]["data"], dtype=np.float64).reshape(nd["h"]["rows"], nd["h"]["cols"])
     if h.shape[0] != cfg.u:
         raise ConfigError(f"U={cfg.u} but the stored NMF factor has {h.shape[0]} components")
-    nmf = NmfModel(w=np.empty((0, h.shape[0])), h=h,
-                   objective_trace=list(nd["objective_trace"]),
-                   iterations_run=nd["iterations_run"], converged=nd["converged"],
-                   config=cfg.nmf_config())
+    nmf = NmfModel(h=h, objective_trace=list(nd["objective_trace"]),
+                   iterations_run=nd["iterations_run"], converged=nd["converged"])
     cd = st["chi2"]
     chi2 = Chi2Report(scores=np.array(cd["scores"]),
                       ranking=np.array(cd["ranking"], dtype=np.int64),

@@ -242,11 +242,16 @@ def tfidf_fit(x: FeatureMatrix) -> TfidfModel:
 
 
 def tfidf_apply(model: TfidfModel, x: FeatureMatrix) -> FeatureMatrix:
-    """Shift, weight by idf, then scale every row to unit L2 norm."""
+    """Shift, clip at 0, weight by idf, then scale every row to unit L2 norm.
+
+    Fit rows never go below 0 after the shift; a scored cell below its
+    column's training minimum is clipped to 0."""
     if x.names != model.names:
         raise SchemaError("feature columns differ from TF-IDF fit time")
-    out = (x.values + model.shifts) * model.idf
+    out = x.values + model.shifts
+    np.maximum(out, 0.0, out=out)
+    out *= model.idf
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0  # zero rows stay zero
-    out = out / norms
+    out /= norms
     return FeatureMatrix(values=out, names=list(x.names))

@@ -91,7 +91,9 @@ class TestFit:
         cfg.write_text("{not json")
         assert main(["fit", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("nmf", [{"init": "bogus"}, {"max_iter": 0}, {"tol": -1.0}])
+    @pytest.mark.parametrize("nmf", [
+        {"init": "bogus"}, {"max_iter": 0}, {"tol": -1.0},
+        {"init": "nndsvd"}, {"max_iter": 50}, {"tol": 1e-6}])
     def test_bad_nmf_setting_exit_2_before_reading_data(self, blob_csv, tmp_path,
                                                         monkeypatch, nmf):
         def no_read(*args):
@@ -168,7 +170,7 @@ class TestFit:
         assert "seed" not in echoed
         assert echoed["pipeline"]["seed"] == seed
         fp = pipeline_load(out / "pipeline.json")
-        assert fp.config.seed == fp.nmf.config.seed == seed
+        assert fp.config.seed == seed
 
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     @pytest.mark.parametrize("doc,flags", [
@@ -200,15 +202,15 @@ class TestFit:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "dataset": str(blob_csv), "seed": 9,
-            "pipeline": {"u": 4, "v": 2, "nmf": {"r": 2, "seed": 99, "max_iter": 50}}}))
+            "pipeline": {"u": 4, "v": 2, "nmf": {"r": 2, "seed": 99, "max_iter": 200}}}))
         out = tmp_path / "run"
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         echoed = json.loads((out / "run_config.json").read_text())["pipeline"]
-        assert echoed["nmf"] == {"init": "random", "max_iter": 50, "tol": 1e-4}
+        assert echoed["nmf"] == {"init": "random", "max_iter": 200, "tol": 1e-4}
         assert (echoed["u"], echoed["seed"]) == (4, 9)
         fp = pipeline_load(out / "pipeline.json")
         assert fp.config.to_dict() == echoed
-        assert (fp.nmf.config.r, fp.nmf.config.seed, fp.nmf.h.shape[0]) == (4, 9, 4)
+        assert (fp.config.u, fp.config.seed, fp.nmf.h.shape[0]) == (4, 9, 4)
 
 
 class TestTransform:
@@ -222,6 +224,21 @@ class TestTransform:
         assert len(lines) == 101
         assert len(lines[0].split(",")) == 3
 
+    def test_rows_below_the_training_minimum_are_clipped(self, blob_csv, tmp_path):
+        run = tmp_path / "run"
+        assert main(["fit", *_flags(blob_csv, run)]) == 0
+        d = make_blob_dataset(n_rows=100, n_numeric=4, n_classes=2, seed=1)
+        for j in range(4):
+            col = d.columns[f"num_{j}"]
+            col[j::5] = col.min() - 1.0    # below the column's training minimum
+        scored = write_dataset_csv(d, tmp_path / "below.csv")
+        out = tmp_path / "tr"
+        assert main(["transform", "--pipeline", str(run / "pipeline.json"),
+                     "--dataset", str(scored), "--out", str(out)]) == 0
+        values = np.loadtxt(out / "transformed.csv", delimiter=",", skiprows=1)
+        assert values.shape == (100, 3)
+        assert np.isfinite(values).all() and (values >= 0).all()
+
     def test_checksummed_body_that_is_no_pipeline_exit_1(self, blob_csv, tmp_path, capsys):
         path = tmp_path / "pipeline.json"
         path.write_text("[]\ncrc32 %08x\n" % (zlib.crc32(b"[]") & 0xFFFFFFFF))
@@ -230,7 +247,9 @@ class TestTransform:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("config", [{"v": "3"}, {"v": 99}, []])
+    @pytest.mark.parametrize("config", [
+        {"v": "3"}, {"v": 99}, [],
+        {"nmf": {"max_iter": 50}}, {"nmf": {"tol": 1e-6}}, {"nmf": {"init": "nndsvd"}}])
     def test_checksummed_file_with_bad_settings_exit_1(self, blob_csv, tmp_path, capsys,
                                                        config):
         run = tmp_path / "run"

@@ -1,22 +1,22 @@
 import json
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import idsfx
 from idsfx.data import ColumnKind, ColumnSpec, Dataset, split_xy
 from idsfx.errors import (ConfigError, IntegrityError, PipelineError,
                           SchemaError, VersionError)
-from idsfx.nmf import NmfConfig
 from idsfx.pipeline import (FORMAT_VERSION, PipelineConfig, pipeline_fit,
                             pipeline_load, pipeline_save, pipeline_transform,
                             serialize_pipeline, stage)
 from tests.conftest import make_blob_dataset
 
 
-def small_config(u=4, v=3, seed=0, init="random"):
-    return PipelineConfig(u=u, v=v, seed=seed, nmf_init=init,
-                          nmf_max_iter=100, nmf_tol=1e-6)
+def small_config(u=4, v=3, seed=0):
+    return PipelineConfig(u=u, v=v, seed=seed)
 
 
 class TestFit:
@@ -137,18 +137,16 @@ class TestPersistence:
     def test_minor_version_accepted(self):
         assert FORMAT_VERSION.split(".")[0] == "2"
 
-    @pytest.mark.parametrize("init", ["random", "nndsvd"])
     @pytest.mark.parametrize("u", [2, 4])
     @pytest.mark.parametrize("seed", [0, 9])
-    def test_round_trip_keeps_the_nmf_config_fit_used(self, blob_dataset, tmp_path,
-                                                      seed, u, init):
-        fp, _, _ = pipeline_fit(blob_dataset, small_config(u=u, v=2, seed=seed, init=init))
-        assert fp.nmf.config == NmfConfig(r=u, init=init, max_iter=100, tol=1e-6, seed=seed)
+    def test_round_trip_keeps_the_settings_fit_used(self, blob_dataset, tmp_path, seed, u):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config(u=u, v=2, seed=seed))
+        assert fp.nmf.h.shape[0] == u
         path = tmp_path / "pipeline.json"
         pipeline_save(fp, path)
         back = pipeline_load(path)
-        assert back.nmf.config == fp.nmf.config
-        assert back.config == fp.config
+        assert back.config == fp.config == small_config(u=u, v=2, seed=seed)
+        assert np.array_equal(back.nmf.h, fp.nmf.h)
         assert serialize_pipeline(back) == path.read_bytes()
 
     def test_format_1_0_file_loads_and_transforms_identically(self, blob_dataset, tmp_path):
@@ -163,7 +161,6 @@ class TestPersistence:
         path.write_text(body + "\ncrc32 %08x\n" % (zlib.crc32(body.encode()) & 0xFFFFFFFF))
         back = pipeline_load(path)
         assert back.config == fp.config
-        assert back.nmf.config == fp.nmf.config
         q = make_blob_dataset(seed=7)
         assert np.array_equal(pipeline_transform(fp, q).values,
                               pipeline_transform(back, q).values)
@@ -192,7 +189,6 @@ class TestPersistence:
         q = make_blob_dataset(seed=7)
         assert np.array_equal(pipeline_transform(fp, q).values,
                               pipeline_transform(back, q).values)
-        assert back.nmf.w.shape == fp.nmf.w.shape == (0, 4)
         assert serialize_pipeline(back) == serialize_pipeline(fp)
         resaved = json.loads(serialize_pipeline(back).decode().rsplit("\n", 2)[0])
         assert resaved["format_version"] == "2.0"
@@ -222,7 +218,10 @@ class TestPersistence:
         ({"v": 99}, "1 <= V <= U"),
         ({"u": 3, "v": 2}, "U=3 but the stored NMF factor has 4 components"),
         ([], "must be JSON objects"),
-        ({"seed": -1}, "seed must be >= 0")])
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"nmf": {"max_iter": 50}}, "nmf 'max_iter' is fixed at 200, got 50"),
+        ({"nmf": {"tol": 1e-6}}, "nmf 'tol' is fixed at 0.0001, got 1e-06"),
+        ({"nmf": {"init": "nndsvd"}}, "nmf 'init' is fixed at 'random', got 'nndsvd'")])
     def test_checksummed_file_with_bad_settings_rejected(self, blob_dataset, tmp_path,
                                                          config, match):
         fp, _, _ = pipeline_fit(blob_dataset, small_config())
@@ -261,8 +260,7 @@ class TestStage:
 
 class TestConfig:
     def test_round_trip_dict(self):
-        cfg = PipelineConfig(u=7, v=2, drop_threshold=0.02, seed=9,
-                             nmf_init="nndsvd", nmf_max_iter=50, nmf_tol=1e-5)
+        cfg = PipelineConfig(u=7, v=2, drop_threshold=0.02, tfidf_enabled=False, seed=9)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_defaults(self):
@@ -277,14 +275,27 @@ class TestConfig:
 
     def test_nmf_rank_and_seed_in_a_dict_are_ignored(self):
         cfg = PipelineConfig.from_dict(
-            {"u": 4, "seed": 9, "nmf": {"r": 2, "seed": 99, "init": "nndsvd"}})
-        assert cfg.nmf_config() == NmfConfig(r=4, init="nndsvd", seed=9)
+            {"u": 4, "seed": 9, "nmf": {"r": 2, "seed": 99, "init": "random"}})
+        assert cfg == PipelineConfig(u=4, seed=9)
 
     def test_missing_keys_take_the_defaults(self):
         assert PipelineConfig.from_dict({}) == PipelineConfig()
-        assert PipelineConfig().nmf_config() == NmfConfig()
+        assert PipelineConfig.from_dict({"nmf": {}}) == PipelineConfig()
 
-    @pytest.mark.parametrize("nmf", [{"init": "bogus"}, {"max_iter": 0}, {"tol": 0.0}])
+    @pytest.mark.parametrize("nmf", [
+        {"init": "bogus"}, {"max_iter": 0}, {"tol": 0.0},
+        {"init": "nndsvd"}, {"max_iter": 50}, {"max_iter": 200.0}, {"max_iter": True},
+        {"tol": 1e-6}, {"tol": float("nan")}, {"tol": "0.0001"}])
     def test_bad_nmf_settings_rejected_by_validate(self, nmf):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^nmf '{next(iter(nmf))}' is fixed at "):
             PipelineConfig.from_dict({"nmf": nmf}).validate()
+
+    def test_fields_are_the_five_settings(self):
+        assert [f.name for f in fields(PipelineConfig)] == [
+            "u", "v", "drop_threshold", "tfidf_enabled", "seed"]
+
+
+def test_every_public_name_resolves():
+    assert len(set(idsfx.__all__)) == len(idsfx.__all__)
+    missing = [name for name in idsfx.__all__ if not hasattr(idsfx, name)]
+    assert missing == []

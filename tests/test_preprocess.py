@@ -215,6 +215,24 @@ class TestTfidf:
         out = tfidf_apply(model, fm)
         assert (out.values >= 0).all()
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shift_clips_rows_below_the_training_minimum(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(0.0, 2.0, (int(rng.integers(1, 12)), int(rng.integers(1, 6))))
+        m[rng.random(m.shape) < 0.3] = 0.0
+        fm = FeatureMatrix(m, [f"f{j}" for j in range(m.shape[1])])
+        model = tfidf_fit(fm)
+        # on the fit rows the clip changes no bit
+        expected = (m + model.shifts) * model.idf
+        norms = np.linalg.norm(expected, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        assert np.array_equal(tfidf_apply(model, fm).values, expected / norms)
+        # scored rows reach below the training minimum
+        below = m - rng.random(m.shape) * 4.0
+        out = tfidf_apply(model, FeatureMatrix(below, fm.names)).values
+        assert np.isfinite(out).all() and (out >= 0).all()
+
     def test_apply_reuses_fitted_state(self):
         fit_fm = FeatureMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]), ["a", "b"])
         model = tfidf_fit(fit_fm)
