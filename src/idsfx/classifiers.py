@@ -242,57 +242,55 @@ def _predict_knn(state, x):
 
 # -------------------------------------------------------------- decision tree
 
-def _tree_state(arrays) -> dict:
-    feature, threshold, left, right, leaf_class, n_nodes = arrays
-    return {
-        "feature": feature[:n_nodes].copy(),
-        "threshold": threshold[:n_nodes].copy(),
-        "left": left[:n_nodes].copy(),
-        "right": right[:n_nodes].copy(),
-        "leaf_class": leaf_class[:n_nodes].copy(),
-    }
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
 
 
 def _fit_tree(x, y, k, seed):
-    arrays = kernels.grow_tree(x, y, k, x.shape[1], MIN_SAMPLES_SPLIT, seed)
-    return _tree_state(arrays)
+    *arrays, n_nodes = kernels.grow_tree(x, y, k, x.shape[1], MIN_SAMPLES_SPLIT, seed)
+    return {name: a[:n_nodes].copy() for name, a in zip(_TREE_ARRAYS, arrays)}
 
 
 def _predict_tree(state, x):
-    return kernels.tree_predict(x, state["feature"], state["threshold"],
-                                state["left"], state["right"], state["leaf_class"])
+    return kernels.tree_predict(x, *(state[name] for name in _TREE_ARRAYS))
 
 
 # -------------------------------------------------------------- random forest
 
 def _fit_forest(x, y, k, seed):
+    """Draw every tree's bootstrap rows and LCG seed, then grow all trees in
+    one ``kernels.grow_forest`` call."""
     n, m = x.shape
     m_try = max(1, int(np.sqrt(m)))
     rng = np.random.default_rng(seed)
-    trees = []
+    boots = np.empty((FOREST_TREES, n), np.int32)
+    seeds = np.empty(FOREST_TREES, np.int64)
     short = 0   # trees whose bootstrap sample lacks a class
-    for _ in range(FOREST_TREES):
+    for t in range(FOREST_TREES):
         boot = rng.integers(0, n, n)
-        if np.unique(y[boot]).size < k:
+        present = np.count_nonzero(np.bincount(y[boot], minlength=k))
+        if present < k:
             boot = rng.integers(0, n, n)  # resample once
+            present = np.count_nonzero(np.bincount(y[boot], minlength=k))
         # rare classes legitimately vanish from a bootstrap sample;
         # the tree simply never votes for them
-        short += np.unique(y[boot]).size < k
-        tree_seed = int(rng.integers(1, kernels.LCG_MOD - 1))
-        trees.append(_tree_state(kernels.grow_tree(
-            x[boot], y[boot], k, m_try, MIN_SAMPLES_SPLIT, tree_seed)))
+        short += present < k
+        boots[t] = boot
+        seeds[t] = rng.integers(1, kernels.LCG_MOD - 1)
     if short:
         log.warning("bootstrap samples of %d of %d trees lost class(es); "
                     "grew them anyway", short, FOREST_TREES)
-    return {"trees": trees, "n_classes": k}
+    *nodes, bounds = kernels.grow_forest(x, y, k, m_try, MIN_SAMPLES_SPLIT, boots, seeds)
+    forest = dict(zip(_TREE_ARRAYS, nodes))
+    # each tree's slice of the forest is a decision tree state of its own
+    trees = [{name: a[lo:hi] for name, a in forest.items()}
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return {"forest": forest, "bounds": bounds, "trees": trees, "n_classes": k}
 
 
 def _predict_forest(state, x):
-    votes = np.zeros((x.shape[0], state["n_classes"]), dtype=np.int64)
-    for tree in state["trees"]:
-        pred = _predict_tree(tree, x)
-        votes[np.arange(x.shape[0]), pred] += 1
-    return np.argmax(votes, axis=1)  # ties: lowest class code
+    forest = state["forest"]
+    return kernels.forest_predict(x, *(forest[name] for name in _TREE_ARRAYS),
+                                  state["bounds"], state["n_classes"])
 
 
 _FITTERS = {

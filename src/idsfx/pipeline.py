@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, split_xy
-from .errors import ConfigError, IdsfxError, IntegrityError, PipelineError, SchemaError, VersionError
+from .errors import (ConfigError, DomainError, IdsfxError, IntegrityError, PipelineError,
+                     SchemaError, VersionError)
 from .matrix import FeatureMatrix
 from .nmf import MAX_ITER, TOL, NmfModel, nmf_fit, nmf_transform
 from .preprocess import (DEFAULT_DROP_THRESHOLD, BaselineModel, CategoricalEncoder,
@@ -122,6 +123,16 @@ def stage(name: str, timings: dict[str, float] | None = None):
         timings[name] = time.perf_counter() - t0
 
 
+def _check_unshifted(fm: FeatureMatrix) -> None:
+    """Without TF-IDF the encoded columns reach NMF as they are; name the
+    columns that hold negative values."""
+    negative = np.flatnonzero((fm.values < 0).any(axis=0))
+    if negative.size:
+        names = ", ".join(repr(fm.names[j]) for j in negative)
+        raise DomainError(f"negative values in column(s) {names}; only the TF-IDF "
+                          "stage shifts columns to be non-negative")
+
+
 def pipeline_fit(d: Dataset, cfg: PipelineConfig
                  ) -> tuple[FittedPipeline, FeatureMatrix, np.ndarray]:
     """Fit every stage in order; returns the fitted pipeline, the final
@@ -142,6 +153,8 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
             tfidf = tfidf_fit(fm)
             fm = tfidf_apply(tfidf, fm)
     with stage("nmf"):
+        if tfidf is None:
+            _check_unshifted(fm)
         model = nmf_fit(fm, cfg.u, cfg.seed)
         w = nmf_transform(model, fm)
     with stage("chi2_select"):
@@ -177,6 +190,8 @@ def pipeline_transform(fp: FittedPipeline, d: Dataset) -> FeatureMatrix:
         with stage("tfidf"):
             fm = tfidf_apply(fp.tfidf, fm)
     with stage("nmf"):
+        if fp.tfidf is None:
+            _check_unshifted(fm)
         w = nmf_transform(fp.nmf, fm)
     with stage("chi2_select"):
         return apply_selection(fp.chi2, w)

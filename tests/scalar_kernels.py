@@ -10,11 +10,16 @@ selects the k nearest (``tests/test_classifiers.py``).  It also still forms
 each distance block as one expression of temporaries, where the fast version
 builds it in one buffer.  ``fit_logreg_rowmajor`` is the row-major softmax fit
 that ``idsfx.classifiers._fit_logreg`` replaced with a class-major one.
+``fit_forest_loop`` and ``predict_forest_loop`` are the random forest grown and
+polled one tree at a time, which ``idsfx.kernels.grow_forest`` and
+``forest_predict`` replaced with all trees at once; here each tree runs
+through the scalar loops above.
 """
 
 import numpy as np
 
-from idsfx.classifiers import LOGREG_EPOCHS, LOGREG_L2, LOGREG_LR
+from idsfx.classifiers import (FOREST_TREES, LOGREG_EPOCHS, LOGREG_L2, LOGREG_LR,
+                               MIN_SAMPLES_SPLIT)
 
 LCG_MOD = 2147483647   # 2^31 - 1 (Park-Miller)
 LCG_MUL = 48271
@@ -264,3 +269,44 @@ def fit_logreg_rowmajor(x, y, k):
         w -= LOGREG_LR * (diff.T @ xs / n + LOGREG_L2 * w)
         b -= LOGREG_LR * diff.mean(axis=0)
     return {"w": w, "b": b, "mu": mu, "sd": sd}
+
+
+def _tree_state(arrays):
+    feature, threshold, left, right, leaf_class, n_nodes = arrays
+    return {
+        "feature": feature[:n_nodes].copy(),
+        "threshold": threshold[:n_nodes].copy(),
+        "left": left[:n_nodes].copy(),
+        "right": right[:n_nodes].copy(),
+        "leaf_class": leaf_class[:n_nodes].copy(),
+    }
+
+
+def fit_forest_loop(x, y, k, seed):
+    """Returns the forest state and the count of trees whose bootstrap
+    sample lacks a class."""
+    n, m = x.shape
+    m_try = max(1, int(np.sqrt(m)))
+    rng = np.random.default_rng(seed)
+    trees = []
+    short = 0   # trees whose bootstrap sample lacks a class
+    for _ in range(FOREST_TREES):
+        boot = rng.integers(0, n, n)
+        if np.unique(y[boot]).size < k:
+            boot = rng.integers(0, n, n)  # resample once
+        # rare classes legitimately vanish from a bootstrap sample;
+        # the tree simply never votes for them
+        short += np.unique(y[boot]).size < k
+        tree_seed = int(rng.integers(1, LCG_MOD - 1))
+        trees.append(_tree_state(_grow_tree_impl(
+            x[boot], y[boot], k, m_try, MIN_SAMPLES_SPLIT, tree_seed)))
+    return {"trees": trees, "n_classes": k}, short
+
+
+def predict_forest_loop(state, x):
+    votes = np.zeros((x.shape[0], state["n_classes"]), dtype=np.int64)
+    for tree in state["trees"]:
+        pred = _tree_predict_impl(x, tree["feature"], tree["threshold"], tree["left"],
+                                  tree["right"], tree["leaf_class"])
+        votes[np.arange(x.shape[0]), pred] += 1
+    return np.argmax(votes, axis=1)  # ties: lowest class code

@@ -268,6 +268,47 @@ class TestTransform:
         assert not (out / "transformed.csv").exists()
 
 
+def _write_abc(path, negative_rows=()):
+    """A 40-row generic file of columns a, b, c and label; column ``a`` is
+    -1 in ``negative_rows``."""
+    rng = np.random.default_rng(3)
+    lines = ["a,b,c,label"]
+    for i in range(40):
+        a = -1.0 if i in negative_rows else rng.random() * 5
+        lines.append(f"{a:.3f},{rng.random() * 3:.3f},{rng.random() * 7:.3f},{'xy'[i % 2]}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestNoTfidf:
+    """Without TF-IDF no stage shifts the encoded columns, so a negative cell
+    is refused before NMF with the names of the columns that hold one."""
+
+    FLAGS = ["--profile", "generic", "--components", "2", "--select", "1", "--no-tfidf"]
+
+    def test_fit_names_the_negative_column(self, tmp_path, capsys):
+        data = _write_abc(tmp_path / "neg.csv", negative_rows=(3, 17))
+        assert main(["fit", "--dataset", str(data), "--out", str(tmp_path / "run"),
+                     *self.FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'nmf': negative values in column(s) 'a';")
+        assert "only the TF-IDF stage shifts columns" in err
+        assert not (tmp_path / "run" / "pipeline.json").exists()
+
+    def test_transform_names_the_negative_column(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["fit", "--dataset", str(_write_abc(tmp_path / "ok.csv")),
+                     "--out", str(run), *self.FLAGS]) == 0
+        data = _write_abc(tmp_path / "neg.csv", negative_rows=(5,))
+        capsys.readouterr()
+        assert main(["transform", "--pipeline", str(run / "pipeline.json"),
+                     "--profile", "generic", "--dataset", str(data),
+                     "--out", str(tmp_path / "tr")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'nmf': negative values in column(s) 'a';")
+        assert not (tmp_path / "tr" / "transformed.csv").exists()
+
+
 class TestEvaluate:
     def test_outputs_and_determinism(self, blob_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,14 +1,21 @@
 """Kernel-level checks: split-search correctness against a brute-force
-oracle, determinism, and bit-identical agreement of the vectorized kernels
-with the scalar reference loops in ``scalar_kernels.py``."""
+oracle, determinism, bit-identical agreement of the vectorized kernels with
+the scalar reference loops in ``scalar_kernels.py``, and the memory the
+forest kernels hold."""
 
+import gc
+import logging
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rss_probe
 import scalar_kernels
-from idsfx import kernels
+from idsfx import classifiers, kernels
 
 
 def _gini_weighted(y_left, y_right):
@@ -260,3 +267,148 @@ def test_svm_memory_is_bounded_by_the_block():
     # one block each, allocated once
     inputs = 8 * n * (d + 1) + 8 * n * n_classes
     assert peak < inputs + 4 * 8 * kernels.SVM_BLOCK_CELLS
+
+
+def _forest_case(seed, n_trees):
+    """A seeded forest input: values with ties and constant columns, labels
+    that may leave classes out of a bootstrap sample, every ``max_features``
+    from 1 to past m, and the trees' bootstrap rows and LCG seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 121 if n_trees < 100 else 25))
+    m = int(rng.integers(1, 8))
+    n_classes = int(rng.integers(2, 6))
+    X = rng.random((n, m))
+    if rng.random() < 0.5:
+        X = np.round(X * 3) / 3                       # ties
+    X[:, rng.random(m) < 0.25] = 0.5                  # constant columns
+    y = rng.integers(0, n_classes, n)
+    if rng.random() < 0.3:
+        y[y == 1] = 0                                 # a class no tree sees
+    max_features = int(rng.integers(1, m + 3))
+    min_split = int(rng.integers(2, 5))
+    boots = rng.integers(0, n, (n_trees, n)).astype(np.int32)
+    seeds = rng.integers(0, kernels.LCG_MOD, n_trees)
+    return X, y, n_classes, max_features, min_split, boots, seeds
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.sampled_from([1, 7, 100]),
+       cells=st.sampled_from([None, 40]))
+def test_grow_forest_matches_scalar_trees(seed, n_trees, cells):
+    """Each tree of a batch is the scalar tree of its bootstrap rows.  At 40
+    cells a node's (node, feature) rows straddle chunks and one wave spans
+    several chunks."""
+    X, y, n_classes, max_features, min_split, boots, seeds = _forest_case(seed, n_trees)
+    with mock.patch.object(kernels, "SPLIT_BLOCK_CELLS", cells or kernels.SPLIT_BLOCK_CELLS):
+        *nodes, bounds = kernels.grow_forest(X, y, n_classes, max_features, min_split,
+                                             boots.copy(), seeds)
+    assert bounds[0] == 0 and bounds.size == n_trees + 1
+    for t in range(n_trees):
+        want = scalar_kernels._grow_tree_impl(X[boots[t]], y[boots[t]], n_classes,
+                                              max_features, min_split, int(seeds[t]))
+        assert bounds[t + 1] - bounds[t] == want[5]
+        for got, ref in zip(nodes, want[:5]):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got[bounds[t]:bounds[t + 1]], ref[:want[5]])
+
+
+def test_grow_forest_refuses_other_boots():
+    X, y = np.random.default_rng(0).random((6, 2)), np.array([0, 1, 0, 1, 0, 1])
+    for boots in (np.zeros((2, 6), np.int64), np.zeros((6, 2), np.int32).T):
+        with pytest.raises(ValueError, match="C-contiguous int32"):
+            kernels.grow_forest(X, y, 2, 1, 2, boots, [1, 2])
+
+
+def _forest_fixture(seed, n=40, m=9, n_classes=3):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, n)
+    y[0] = n_classes                              # a one-row class most trees lose
+    X = np.round(rng.normal(y[:, None] * 0.5, 1.0, (n, m)) * 4) / 4
+    return X, y, n_classes + 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_forest_matches_tree_by_tree_loop(seed, caplog):
+    """The classifier's batched forest against the loop it replaced: the same
+    bootstrap draws and lost-class count, trees and votes."""
+    X, y, k = _forest_fixture(seed)
+    with caplog.at_level(logging.WARNING, logger="idsfx.classifiers"):
+        state = classifiers._fit_forest(X, y, k, seed)
+    want, short = scalar_kernels.fit_forest_loop(X, y, k, seed)
+    assert f"samples of {short} of {classifiers.FOREST_TREES} trees" in caplog.text
+    assert len(state["trees"]) == len(want["trees"])
+    for got, ref in zip(state["trees"], want["trees"]):
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(got[name], ref[name])
+
+    rng = np.random.default_rng(seed + 10)
+    cuts = np.unique(state["forest"]["threshold"])
+    queries = np.vstack([X, rng.normal(0.5, 1.5, (60, X.shape[1])),
+                         rng.choice(cuts, (30, X.shape[1]))])
+    assert np.array_equal(classifiers._predict_forest(state, queries),
+                          scalar_kernels.predict_forest_loop(want, queries))
+
+
+def _traced_peak(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _structured(n, m, n_classes, seed=0):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, n)
+    return np.round(rng.normal(y[:, None] * 0.4, 1.0, (n, m)), 2), y
+
+
+# tracemalloc peak of the tree-by-tree forest fit on the 90 x 20 fixture
+# below, measured before the trees grew as one batch
+TREE_BY_TREE_FIT_PEAK = 310 * 1024
+
+
+def test_forest_fit_memory():
+    """The batch holds the int32 row table, a few work arrays of one chunk
+    (six slots, the argsort output and the index ramp), and compact node
+    records, on top of what the tree-by-tree fit held."""
+    X, y = _structured(90, 20, 4)
+    classifiers._fit_forest(X, y, 4, 0)               # numpy's first-call set-up
+    state, peak = _traced_peak(classifiers._fit_forest, X, y, 4, 0)
+    table = 4 * classifiers.FOREST_TREES * X.shape[0]
+    work = 8 * 8 * kernels.SPLIT_BLOCK_CELLS
+    records = 32 * int(state["bounds"][-1])
+    assert peak < TREE_BY_TREE_FIT_PEAK + table + work + records
+
+
+def test_forest_predict_memory_stays_within_a_group():
+    """On many rows the trees descend one at a time: the peak is the votes,
+    the result and thirteen arrays of one tree's (tree, row) pairs, however
+    many trees vote."""
+    X, y = _structured(90, 20, 4)
+    state = classifiers._fit_forest(X, y, 4, 0)
+    queries = np.random.default_rng(1).normal(0.6, 1.0, (20000, 20))
+    classifiers._predict_forest(state, queries[:50])
+    _, peak = _traced_peak(classifiers._predict_forest, state, queries)
+    rows = queries.shape[0]
+    assert peak < 8 * (13 * rows + 2 * 4 * rows + rows)
+    assert peak < 8 * rows * classifiers.FOREST_TREES / 4
+
+
+@pytest.mark.skipif(rss_probe.heap_in_use() is None, reason="glibc mallinfo2 not available")
+def test_forest_fits_do_not_grow_the_retained_heap():
+    """numpy keeps freed buffers below 1 KiB, up to seven of each byte size;
+    a fit whose small arrays took ever new sizes would keep more heap on
+    every call."""
+    X, y = _structured(90, 20, 4)
+    for _ in range(3):
+        classifiers._predict_forest(classifiers._fit_forest(X, y, 4, 0), X)
+    gc.collect()
+    before = rss_probe.heap_in_use()
+    for _ in range(5):
+        classifiers._predict_forest(classifiers._fit_forest(X, y, 4, 0), X)
+    gc.collect()
+    assert rss_probe.heap_in_use() - before < 16 * 1024
