@@ -138,8 +138,8 @@ def _fit_logreg(x, y, k, seed):
     BLAS products see the same operands and layouts; the maximum is exact;
     the row totals add the classes in order below 8 classes, as numpy does
     for such short rows, and from a row-major copy at 8 or more, where numpy
-    sums pairwise; and the bias gradient adds the rows in order, as the
-    row-major ``mean(axis=0)`` does.
+    sums pairwise; and the bias gradient is the row-major copy's
+    ``sum(axis=0)``, which adds the rows in order as ``mean(axis=0)`` does.
     """
     mu, sd = _standardize_fit(x)
     xs = (x - mu) / sd
@@ -158,7 +158,7 @@ def _fit_logreg(x, y, k, seed):
         s -= onehot
         np.copyto(diff, s.T)
         w -= LOGREG_LR * (diff.T @ xs / n + LOGREG_L2 * w)
-        b -= LOGREG_LR * (np.cumsum(s, axis=1)[:, -1] / n)
+        b -= LOGREG_LR * (diff.sum(axis=0) / n)
     return {"w": w, "b": b, "mu": mu, "sd": sd}
 
 

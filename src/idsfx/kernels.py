@@ -7,14 +7,16 @@ scores the candidate features of all those nodes in chunks of about
 ``SPLIT_BLOCK_CELLS`` cells, and partitions the rows of the nodes that
 split.  ``grow_tree`` is its one-tree case.  ``forest_predict`` moves
 (tree, row) pairs down one level at a time and tallies the votes;
-``tree_predict`` is its one-tree case.  The SVM evaluates a block of
-upcoming SGD steps at once and keeps them up to the first step that updates
-more than a decay; the buffers behind a block are capped at
-``SVM_BLOCK_CELLS`` cells.  The floating-point operations and their order
-are those of plain element-by-element loops, so results are bit-identical to
-the scalar reference kept in ``tests/scalar_kernels.py``;
-``tests/test_kernels.py`` checks that over seeded and degenerate inputs.  No
-BLAS call is used, because BLAS may sum in any order.
+``tree_predict`` is its one-tree case.  The SVM keeps Pegasos in closed
+form, as the sum of its violated updates, and evaluates a block of upcoming
+SGD steps at once up to the first step with a violated margin; a block's
+rows are capped at ``SVM_BLOCK_CELLS`` cells.  Results are bit-identical to
+the scalar references kept in ``tests/scalar_kernels.py``, which
+``tests/test_kernels.py`` checks over seeded and degenerate inputs.  The tree
+kernels do the loops' floating-point operations in the same order.  The SVM's
+one BLAS call, its margins, may sum in any order, so BLAS proposes and a
+bounded left-to-right sum decides: a margin within BLAS rounding of its
+threshold is summed again left to right.
 
 Integer class counts drive every split comparison, which keeps tie-breaking
 exact.  Feature subsampling uses a Park-Miller LCG, so a forest's trees depend
@@ -37,8 +39,8 @@ LCG_MUL = 48271
 # pass over all rows if more.
 SPLIT_BLOCK_CELLS = 2048
 
-# The SVM evaluates as many steps at once as keep its two step-by-class-by-
-# feature float64 buffers at about this many cells each.
+# The SVM evaluates as many steps at once as keep the block's step-by-feature
+# float64 rows at about this many cells.
 SVM_BLOCK_CELLS = 8192
 
 
@@ -500,56 +502,54 @@ def svm_sgd(X, y, n_classes, epochs, lam, perms):
     behaves like a weight on a constant feature (regularized), which keeps the
     huge early steps from permanently skewing it.
 
-    The bias is kept as column 0 of one weight matrix and the rows get a
-    leading 1.0, so one multiply, decay and update cover both.  Most steps
-    only decay the weights, so ``b`` steps are evaluated at once: with the
-    weights in ``acc[0]`` and the step decays in ``acc[1:b+1]``, one
-    multiply-accumulate down the step axis gives the weights before each
-    step, rounded after each decay as ``wb *= decay`` would round them.  Each
-    step's margins are accumulated left to right, bias first, as a scalar
-    loop would sum them.  The first step with a violated class commits its
-    decayed weights and the update of the violated classes, and the next
-    block starts after it; a clean block commits all ``b`` decays.  ``b``
-    doubles after a clean block and halves after a hit, up to the steps whose
-    weight copies fit in ``SVM_BLOCK_CELLS`` cells.
+    The weights after step t are V / (lam * t), where V sums y * x over the
+    violated margins so far (Shalev-Shwartz et al. 2011, "Pegasos"), with the
+    bias in column 0 and a leading 1.0 on every row.  Step 1 sees w = 0 and
+    updates every class; step s violates class c where
+    y * (V_c . x) < lam * (s - 1), summed left to right, bias first.
+
+    A block of ``b`` steps takes its margins from one BLAS product.  Two
+    summation orders differ by at most about (d + 1) eps ||x|| ||V_c||, so a
+    margin further than twice that from its threshold decides as the
+    left-to-right sum would; the others are summed again left to right.  So
+    the result is the same at any BLAS build and thread count.  A block
+    commits up to its first step with a violated class, and that step's
+    update; ``b`` doubles after a clean block and halves after a hit, up to
+    ``SVM_BLOCK_CELLS // (d + 1)`` steps.
     """
-    n, d = X.shape
-    xa = np.ones((n, d + 1))
-    xa[:, 1:] = X
+    d = X.shape[1]
+    xa = np.column_stack([np.ones(len(X)), X])
     target = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
-    cap = max(1, SVM_BLOCK_CELLS // (n_classes * (d + 1)))
-    acc = np.zeros((cap + 1, n_classes, d + 1))    # acc[0] is the weights
-    prod = np.empty((cap, n_classes, d + 1))
+    slack = 2 * (d + 2) * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->i", xa, xa))
+    cap = max(1, SVM_BLOCK_CELLS // (d + 1))
     rows = perms[:epochs].reshape(-1)
-    xs = np.empty((cap, d + 1))
-    wb = acc[0]
-    steps = rows.size
-    t = 0                                          # steps committed
-    b = 1
-    while t < steps:
-        b = min(b, steps - t)
+    v = np.zeros((n_classes, d + 1))
+    v += target[rows[0], :, None] * xa[rows[0]]
+    v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
+    t, b = 1, 1                                    # steps committed, block size
+    while t < rows.size:
+        b = min(b, rows.size - t)
         idx = rows[t:t + b]
-        # decay = 1 - eta * lam of each step
-        acc[1:b + 1] = (1.0 - 1.0 / np.arange(t + 1, t + b + 1))[:, None, None]
-        np.multiply.accumulate(acc[:b + 1], axis=0, out=acc[:b + 1])
-        xa.take(idx, axis=0, out=xs[:b])
-        np.multiply(acc[:b], xs[:b, None, :], out=prod[:b])
-        np.add.accumulate(prod[:b], axis=2, out=prod[:b])
-        violated = target[idx] * prod[:b, :, -1] < 1.0
+        xs = xa.take(idx, axis=0)
+        margin = target.take(idx, axis=0) * (xs @ v.T)
+        thr = lam * np.arange(t, t + b)[:, None]   # lam * (s - 1) at step s
+        unsure = np.abs(margin - thr) <= slack.take(idx)[:, None] * v_norm
+        if np.count_nonzero(unsure):
+            i, c = np.nonzero(unsure)
+            margin[i, c] = target[idx[i], c] * np.add.accumulate(v[c] * xs[i], axis=1)[:, -1]
+        violated = margin < thr
         first = int(violated.argmax())             # in (step, class) order
         if not violated.flat[first]:
-            wb[...] = acc[b]
             t += b
             b = min(2 * b, cap)
             continue
         k = first // n_classes
         t += k + 1
-        wb[...] = acc[k + 1]
-        eta = 1.0 / (lam * t)
-        tc = target[idx[k]]
-        np.add(wb, (eta * tc)[:, None] * xs[k], out=wb, where=violated[k][:, None])
+        np.add(v, target[idx[k], :, None] * xs[k], out=v, where=violated[k, :, None])
+        v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
         b = max(1, b // 2)
-    return np.ascontiguousarray(wb[:, 1:]), wb[:, 0].copy()
+    v /= lam * t
+    return np.ascontiguousarray(v[:, 1:]), v[:, 0].copy()
 
 
 def backend_name() -> str:

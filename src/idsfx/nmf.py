@@ -7,6 +7,8 @@ Multiplicative Frobenius updates (Lee-Seung):
 
 with eps = 1e-12 guarding the denominators.  The objective trace records the
 Frobenius residual ||X - WH||_F after every iteration and is non-increasing.
+Each iteration takes it from the Gram terms that the updates already form,
+||X||^2 - 2 <W, X H^T> + <W^T W, H H^T>, and the last entry directly.
 All randomness is seeded; identical inputs give bit-identical factors.
 """
 
@@ -46,6 +48,17 @@ def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     return float(np.linalg.norm(x - w @ h))
 
 
+def _residual(x, xx, w, h, xht, a, b) -> float:
+    """||X - WH||_F from ||X||^2 - 2 <W, X H^T> + <a, b>, where ``xx`` is
+    ||X||^2, ``xht`` is X H^T and <a, b> is <W^T W, H H^T>.  The expansion
+    cancels about sqrt(eps) ||X|| of precision, so a residual below
+    1e-4 ||X|| is taken directly."""
+    err2 = xx - 2.0 * np.vdot(w, xht) + np.vdot(a, b)
+    if err2 <= 1e-8 * xx:
+        return _frobenius(x, w, h)
+    return float(np.sqrt(err2))
+
+
 def random_init(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform(0,1) factors scaled by sqrt(mean(X)/r)."""
     rng = np.random.default_rng(seed)
@@ -68,20 +81,25 @@ def nmf_fit(x, r: int, seed: int) -> NmfModel:
         raise ConfigError(f"r={r} exceeds min(p, q)={min(p, q)}")
 
     w, h = random_init(xv, r, seed)
+    xx = float(np.vdot(xv, xv))
+    wtw = w.T @ w
 
     trace: list[float] = []
     prev = _frobenius(xv, w, h)
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        h *= (w.T @ xv) / (w.T @ w @ h + EPS)
-        w *= (xv @ h.T) / (w @ (h @ h.T) + EPS)
-        err = _frobenius(xv, w, h)
+        h *= (w.T @ xv) / (wtw @ h + EPS)
+        xht, hht = xv @ h.T, h @ h.T
+        w *= xht / (w @ hht + EPS)
+        wtw = w.T @ w
+        err = _residual(xv, xx, w, h, xht, wtw, hht)
         trace.append(err)
         if abs(prev - err) / max(prev, EPS) < TOL:
             converged = True
             break
         prev = err
+    trace[-1] = _frobenius(xv, w, h)
     return NmfModel(h=h, objective_trace=trace, iterations_run=it, converged=converged)
 
 
@@ -107,10 +125,13 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
     w[row_sums[:, 0] == 0.0] = 0.0
 
     xht = xv @ h.T      # H is frozen, so the numerator is the same every iteration
-    prev = _frobenius(xv, w, h)
+    xx = float(np.vdot(xv, xv))
+    whh = w @ hht       # <W, W H H^T> = <W^T W, H H^T>
+    prev = _residual(xv, xx, w, h, xht, w, whh)
     for _ in range(MAX_ITER):
-        w *= xht / (w @ hht + EPS)
-        err = _frobenius(xv, w, h)
+        w *= xht / (whh + EPS)
+        whh = w @ hht
+        err = _residual(xv, xx, w, h, xht, w, whh)
         if abs(prev - err) / max(prev, EPS) < TOL:
             break
         prev = err

@@ -13,7 +13,10 @@ that ``idsfx.classifiers._fit_logreg`` replaced with a class-major one.
 ``fit_forest_loop`` and ``predict_forest_loop`` are the random forest grown and
 polled one tree at a time, which ``idsfx.kernels.grow_forest`` and
 ``forest_predict`` replaced with all trees at once; here each tree runs
-through the scalar loops above.
+through the scalar loops above.  For the SVM, ``_svm_sgd_closed_impl`` is the
+bit-identical oracle, the closed form that ``idsfx.kernels.svm_sgd`` computes.
+``_svm_sgd_impl`` is Pegasos as first written, decaying the weights at every
+step; it does other arithmetic, so the kernel must match it to rounding only.
 """
 
 import numpy as np
@@ -231,6 +234,38 @@ def _svm_sgd_impl(X, y, n_classes, epochs, lam, perms):
                         w[c, j] += step * X[i, j]
                     b[c] += step
     return w, b
+
+
+def _svm_sgd_closed_impl(X, y, n_classes, epochs, lam, perms, ties=None):
+    """``_svm_sgd_impl`` in closed form: with step 1/(lam * t) the weights
+    after step t are V / (lam * t), where V sums target * x over the violated
+    margins so far.  Step 1 sees zero weights and updates every class; step t
+    violates class c where target * (V_c . x) < lam * (t - 1), the dot
+    product summed left to right, bias first.  After step 1, the margins
+    that land exactly on their threshold are appended to ``ties`` as (t, c)
+    if given.
+    """
+    n, d = X.shape
+    v = np.zeros((n_classes, d))
+    vb = np.zeros(n_classes)
+    t = 0
+    for e in range(epochs):
+        for ii in range(n):
+            i = perms[e, ii]
+            t += 1
+            thr = lam * (t - 1)
+            for c in range(n_classes):
+                target = 1.0 if y[i] == c else -1.0
+                s = vb[c]
+                for j in range(d):
+                    s += v[c, j] * X[i, j]
+                if t == 1 or target * s < thr:
+                    for j in range(d):
+                        v[c, j] += target * X[i, j]
+                    vb[c] += target
+                elif ties is not None and target * s == thr:
+                    ties.append((t, c))
+    return v / (lam * t), vb / (lam * t)
 
 
 def predict_knn_sorted(state, x, chunk: int = 512):

@@ -1,11 +1,15 @@
 """Kernel-level checks: split-search correctness against a brute-force
 oracle, determinism, bit-identical agreement of the vectorized kernels with
-the scalar reference loops in ``scalar_kernels.py``, and the memory the
-forest kernels hold."""
+the scalar reference loops in ``scalar_kernels.py``, SVM weights that do not
+depend on the BLAS thread count, and the memory the kernels hold."""
 
 import gc
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -185,10 +189,20 @@ def test_svm_kernel_matches_scalar_oracle(case):
     lam = float(10.0 ** rng.uniform(-5, -1))
     perms = np.vstack([rng.permutation(len(y)) for _ in range(epochs)])
     w, b = kernels.svm_sgd(X, y, n_classes, epochs, lam, perms)
-    w0, b0 = scalar_kernels._svm_sgd_impl(X, y, n_classes, epochs, lam, perms)
-    assert w.shape == w0.shape and b.shape == b0.shape
-    assert np.array_equal(w, w0)
-    assert np.array_equal(b, b0)
+    _assert_same_svm(w, b, X, y, n_classes, epochs, lam, perms)
+
+
+def _assert_same_svm(w, b, *args):
+    """Bit-equal to the closed-form scalar loop, and within rounding of the
+    decay-form Pegasos loop; one step decided otherwise would move the
+    weights by far more than that."""
+    w1, b1 = scalar_kernels._svm_sgd_closed_impl(*args)
+    assert w.shape == w1.shape and b.shape == b1.shape
+    assert np.array_equal(w, w1)
+    assert np.array_equal(b, b1)
+    w0, b0 = scalar_kernels._svm_sgd_impl(*args)
+    got, want = np.column_stack([b, w]), np.column_stack([b0, w0])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_forest_trees_match_scalar_oracle():
@@ -243,11 +257,78 @@ def test_svm_blocks_match_scalar_oracle(monkeypatch, kind, cap):
     separable rows give clean runs long enough to reach it."""
     X, y, n_classes, epochs, lam, perms = _svm_block_input(kind)
     if cap is not None:
-        monkeypatch.setattr(kernels, "SVM_BLOCK_CELLS", cap * n_classes * (X.shape[1] + 1))
+        monkeypatch.setattr(kernels, "SVM_BLOCK_CELLS", cap * (X.shape[1] + 1))
     w, b = kernels.svm_sgd(X, y, n_classes, epochs, lam, perms)
-    w0, b0 = scalar_kernels._svm_sgd_impl(X, y, n_classes, epochs, lam, perms)
-    assert np.array_equal(w, w0)
-    assert np.array_equal(b, b0)
+    _assert_same_svm(w, b, X, y, n_classes, epochs, lam, perms)
+
+
+@pytest.mark.parametrize("cap", [1, 3, None])
+@pytest.mark.parametrize("seed", range(4))
+def test_svm_margins_on_their_threshold_are_not_violations(monkeypatch, seed, cap):
+    """Integer features and lam = 1 put margins exactly on their integer
+    thresholds in any summation order.  Such margins are within the rounding
+    bound, so the kernel sums them again, and they must not count as
+    violations."""
+    rng = np.random.default_rng(40 + seed)
+    n, d, n_classes, epochs = 30, 4, 3, 4
+    X = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    y = rng.integers(0, n_classes, n)
+    perms = np.vstack([rng.permutation(n) for _ in range(epochs)])
+    if cap is not None:
+        monkeypatch.setattr(kernels, "SVM_BLOCK_CELLS", cap * (d + 1))
+    ties = []
+    scalar_kernels._svm_sgd_closed_impl(X, y, n_classes, epochs, 1.0, perms, ties)
+    assert ties
+    w, b = kernels.svm_sgd(X, y, n_classes, epochs, 1.0, perms)
+    w1, b1 = scalar_kernels._svm_sgd_closed_impl(X, y, n_classes, epochs, 1.0, perms)
+    assert np.array_equal(w, w1) and np.array_equal(b, b1)
+
+
+# Fits the SVM on the inputs saved by the test below and saves the weights.
+SVM_CHILD = """
+import sys
+import numpy as np
+from idsfx import kernels
+inputs = np.load(sys.argv[1])
+out = {}
+for n in inputs["sizes"]:
+    X, y, perms = inputs[f"x{n}"], inputs[f"y{n}"], inputs[f"p{n}"]
+    w, b = kernels.svm_sgd(X, y, 5, perms.shape[0], 1e-4, perms)
+    out[f"w{n}"], out[f"b{n}"] = w, b
+np.savez(sys.argv[2], **out)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="needs 2 cores: on one, BLAS at 2 threads may run as at 1")
+def test_svm_weights_do_not_depend_on_blas_threads(tmp_path):
+    rng = np.random.default_rng(5)
+    sizes = (90, 3000, 12597)
+    inputs = {"sizes": np.array(sizes)}
+    for n in sizes:
+        y = rng.integers(0, 5, n)
+        X = rng.normal(size=(n, 41))
+        X[:, :5] += 2.0 * (y[:, None] == np.arange(5))
+        epochs = 20 if n < 1000 else 1
+        inputs[f"x{n}"], inputs[f"y{n}"] = X, y
+        inputs[f"p{n}"] = np.vstack([rng.permutation(n) for _ in range(epochs)])
+    np.savez(tmp_path / "inputs.npz", **inputs)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fits = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        child = subprocess.run(
+            [sys.executable, "-c", SVM_CHILD, str(tmp_path / "inputs.npz"), str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads})
+        assert child.returncode == 0, child.stderr[-2000:]
+        with np.load(out) as fit:
+            fits.append(dict(fit))
+    assert fits[0].keys() == fits[1].keys()
+    for key in fits[0]:
+        assert fits[0][key].tobytes() == fits[1][key].tobytes(), key
 
 
 def test_svm_memory_is_bounded_by_the_block():
