@@ -22,6 +22,7 @@ from .classifiers import ALGORITHMS
 from .data import ColumnKind, Profile, load_csv, split_xy
 from .errors import ConfigError, EmptyDatasetError, IdsfxError
 from .evaluate import export_report, pearson_corr
+from .matrix import write_csv
 from .pipeline import (PipelineConfig, check_field_types, pipeline_fit,
                        pipeline_load, pipeline_save, pipeline_transform)
 from .preprocess import baseline_fit, describe, encode_labels
@@ -164,8 +165,7 @@ def cmd_transform(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "transformed.csv"
-    np.savetxt(path, fm.values, fmt="%.17g", delimiter=",", header=",".join(fm.names),
-               comments="", encoding="utf-8")
+    write_csv(fm, path)
     print(f"transformed matrix written to {path}")
     return 0
 

@@ -252,12 +252,9 @@ def _generic_schema(header: list[str], rows: list[list[str]],
     if len(set(names)) != len(names):
         raise SchemaError(f"duplicate column names in header: {names}")
     if label_col is None:
-        for n in names:
-            if n.lower() in _LABEL_NAMES:
-                label_col = n
-                break
-    if label_col is None or label_col not in names:
-        raise SchemaError("no resolvable label column; pass label_column=...")
+        label_col = next((n for n in names if n.lower() in _LABEL_NAMES), None)
+    elif label_col not in names:
+        raise SchemaError(f"no label column {label_col!r} in the header")
     specs = []
     for j, n in enumerate(names):
         if n == label_col:
@@ -282,7 +279,8 @@ def load_csv(path: str | Path, profile: Profile | str,
     header-driven with surrounding whitespace trimmed from names and the
     "Label" column designated as the label.  Generic requires a header; its
     label is ``label_column``, else the first column named label, class,
-    target or labels (any case).
+    target or labels (any case).  A header that names no label gives a
+    features-only dataset, whose ``label_column`` is None.
     """
     if isinstance(profile, str):
         try:
@@ -305,8 +303,6 @@ def load_csv(path: str | Path, profile: Profile | str,
     if profile is Profile.CICIDS2017:
         header = [h.strip() for h in first]
         at = next((k for k, n in enumerate(header) if n.lower() == "label"), None)
-        if at is None:
-            raise SchemaError("CICIDS file has no 'Label' column")
         schema = [ColumnSpec(n, ColumnKind.LABEL if k == at else ColumnKind.NUMERIC)
                   for k, n in enumerate(header)]
     if profile is Profile.CICIDS2017 or first[0].strip().lower() == KDD_FEATURES[0]:
@@ -324,7 +320,8 @@ def split_xy(d: Dataset) -> tuple[Dataset, np.ndarray]:
     Ignored columns are dropped."""
     label = d.label_column
     if label is None:
-        raise SchemaError("dataset has no label column")
+        raise SchemaError("dataset has no label column: none is named label, class, "
+                          "target or labels (Label in CICIDS-2017 files)")
     x = d.select([s for s in d.schema if s.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)])
     return x, d.columns[label]
 

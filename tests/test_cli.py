@@ -280,6 +280,52 @@ def _write_abc(path, negative_rows=()):
     return path
 
 
+class TestFeaturesOnly:
+    """A file without a label column is scored and summarized like the
+    labelled file it came from; the commands that need labels refuse it."""
+
+    @staticmethod
+    def _files(tmp_path, label):
+        labelled = _write_abc(tmp_path / "labelled.csv")
+        lines = labelled.read_text().replace(",label", f",{label}").splitlines()
+        labelled.write_text("\n".join(lines) + "\n")
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        return labelled, bare
+
+    @pytest.mark.parametrize("profile,label", [("generic", "label"), ("cicids2017", "Label")])
+    def test_transform_matches_the_labelled_file(self, tmp_path, profile, label):
+        labelled, bare = self._files(tmp_path, label)
+        run = tmp_path / "run"
+        assert main(["fit", "--dataset", str(labelled), "--profile", profile,
+                     "--components", "2", "--select", "1", "--out", str(run)]) == 0
+        for data in (labelled, bare):
+            assert main(["transform", "--pipeline", str(run / "pipeline.json"),
+                         "--profile", profile, "--dataset", str(data),
+                         "--out", str(tmp_path / data.stem)]) == 0
+        written = (tmp_path / "bare" / "transformed.csv").read_bytes()
+        assert written == (tmp_path / "labelled" / "transformed.csv").read_bytes()
+        assert len(written.splitlines()) == 41
+
+    def test_inspect(self, tmp_path, capsys):
+        _, bare = self._files(tmp_path, "label")
+        assert main(["inspect", "--dataset", str(bare)]) == 0
+        out = capsys.readouterr().out
+        assert "rows: 40" in out and "label column" not in out
+        assert "  c numeric count=40" in out
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "corr", "chi2"])
+    def test_commands_that_need_labels_exit_1(self, tmp_path, capsys, command):
+        _, bare = self._files(tmp_path, "label")
+        out = tmp_path / "run"
+        assert main([command, "--dataset", str(bare), "--components", "2",
+                     "--select", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "no label column: none is named label, class, target or labels" in err[0]
+        assert not (out / "pipeline.json").exists()
+
+
 class TestNoTfidf:
     """Without TF-IDF no stage shifts the encoded columns, so a negative cell
     is refused before NMF with the names of the columns that hold one."""

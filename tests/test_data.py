@@ -123,9 +123,19 @@ class TestLoadCsv:
         assert peak < 5 * p.stat().st_size
 
     def test_no_label_column(self, tmp_path):
+        # a features-only file loads; what needs labels is refused by name
         p = _write(tmp_path, "t.csv", "a,b,c\n1,2,3\n")
-        with pytest.raises(SchemaError, match="label"):
-            load_csv(p, "generic")
+        for d in (load_csv(p, "generic"), load_csv(p, "cicids2017")):
+            assert d.label_column is None
+            assert [(s.name, s.kind) for s in d.schema] == [
+                (n, ColumnKind.NUMERIC) for n in "abc"]
+            with pytest.raises(SchemaError, match="no label column: none is named label"):
+                split_xy(d)
+
+    def test_named_label_column_missing(self, tmp_path):
+        p = _write(tmp_path, "t.csv", "a,b,c\n1,2,3\n")
+        with pytest.raises(SchemaError, match="no label column 'label' in the header"):
+            load_csv(p, "generic", label_column="label")
 
     def test_label_override(self, tmp_path):
         p = _write(tmp_path, "t.csv", "a,b,c\n1,2,x\n")
