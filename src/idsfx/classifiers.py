@@ -174,7 +174,7 @@ def _fit_svm(x, y, k, seed):
     xs = np.ascontiguousarray((x - mu) / sd)
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
-    perms = np.empty((SVM_EPOCHS, n), dtype=np.int64)
+    perms = np.empty((SVM_EPOCHS, n), dtype=np.int32)   # the kernel only takes rows with it
     for e in range(SVM_EPOCHS):
         perms[e] = rng.permutation(n)
     w, b = kernels.svm_sgd(xs, y, k, SVM_EPOCHS, SVM_LAM, perms)
@@ -183,9 +183,9 @@ def _fit_svm(x, y, k, seed):
 
 # ------------------------------------------------------------------------ knn
 
-# k-NN prediction holds a few float64/int64 arrays of about this many cells
-# (query rows x training rows), 8 MB each, at a time.
-KNN_BLOCK_CELLS = 1 << 20
+# k-NN prediction builds the distances of about this many (query row,
+# training row) pairs at a time, 2 MB of float64, in one buffer.
+KNN_BLOCK_CELLS = 1 << 18
 
 
 def _fit_knn(x, y, k, seed):
@@ -202,26 +202,28 @@ def _predict_knn(state, x):
     a stable sort would put first.  Vote ties go to the lowest class code.
 
     A vote depends only on which rows are chosen, not on their order, so no
-    row is sorted: ``argpartition`` finds the k-th distance in linear time.
-    Where more than ``k`` rows lie within it, a running count of the rows at
-    that distance keeps the lowest indices.  Rows with fewer than ``k``
-    comparable distances (NaN from overflowing or non-finite cells) are
-    sorted.  Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances,
-    each built in place in one buffer by the same operations in the same
-    order as the expression above.
+    row is sorted: ``argpartition`` finds the k-th distance in linear time,
+    and only its first ``k`` columns are kept.  Where more than ``k`` rows
+    lie within it, a running count of the rows at that distance keeps the
+    lowest indices.  Rows with fewer than ``k`` comparable distances (NaN
+    from overflowing or non-finite cells) are sorted.  Queries go in blocks
+    of about ``KNN_BLOCK_CELLS`` distances, each built in place in one
+    buffer, allocated once, by the same operations in the same order as the
+    expression above.
     """
     xt, yt = state["x"], state["y"]
     k, n_classes = state["k"], state["n_classes"]
     sq_t = np.einsum("ij,ij->i", xt, xt)
     out = np.empty(x.shape[0], dtype=np.int64)
     step = max(1, KNN_BLOCK_CELLS // xt.shape[0])
+    block = np.empty((min(step, x.shape[0]), xt.shape[0]))
     for lo in range(0, x.shape[0], step):
         xc = x[lo:lo + step]
-        d2 = xc @ xt.T
+        d2 = np.matmul(xc, xt.T, out=block[:xc.shape[0]])
         d2 *= 2.0
         np.subtract(np.einsum("ij,ij->i", xc, xc)[:, None], d2, out=d2)
         d2 += sq_t
-        near = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        near = np.argpartition(d2, k - 1, axis=1)[:, :k].copy()
         kth = np.take_along_axis(d2, near, axis=1).max(axis=1)[:, None]
         within = np.count_nonzero(d2 <= kth, axis=1)   # 0 where kth is NaN
         tied = np.flatnonzero(within > k)

@@ -228,19 +228,18 @@ def _parse_lines(lines: list[str], schema: list[ColumnSpec]) -> dict[str, np.nda
 
 
 def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
+    """The 41 features, then the label and the difficulty column of
+    KDDTrain+ style files where present; 41 columns have no label."""
     specs = [
         ColumnSpec(n, ColumnKind.CATEGORICAL if n in KDD_CATEGORICAL else ColumnKind.NUMERIC)
         for n in KDD_FEATURES
     ]
-    specs.append(ColumnSpec("label", ColumnKind.LABEL))
-    if n_cols == len(KDD_FEATURES) + 2:
-        # trailing difficulty column present in KDDTrain+ style files
-        specs.append(ColumnSpec("difficulty", ColumnKind.IGNORED))
-    elif n_cols != len(KDD_FEATURES) + 1:
-        raise SchemaError(
-            f"expected {len(KDD_FEATURES) + 1} or {len(KDD_FEATURES) + 2} "
-            f"columns for this profile, found {n_cols}")
-    return specs
+    tail = [ColumnSpec("label", ColumnKind.LABEL), ColumnSpec("difficulty", ColumnKind.IGNORED)]
+    extra = n_cols - len(specs)
+    if not 0 <= extra <= len(tail):
+        raise SchemaError(f"expected {len(specs)} to {len(specs) + len(tail)} "
+                          f"columns for this profile, found {n_cols}")
+    return specs + tail[:extra]
 
 
 _LABEL_NAMES = ("label", "class", "target", "labels")
@@ -273,9 +272,10 @@ def load_csv(path: str | Path, profile: Profile | str,
              label_column: str | None = None) -> Dataset:
     """Load a CSV file under the schema rules of the given profile.
 
-    NSL-KDD / MilitaryKaggle files carry the 41 canonical connection features
-    plus label (plus an optional trailing difficulty column, marked Ignored);
-    a header row is detected and skipped when present.  CICIDS-2017 files are
+    NSL-KDD / MilitaryKaggle files carry the 41 canonical connection features,
+    then the label and an optional trailing difficulty column (marked
+    Ignored); a file of the 41 features alone has no label column.  A header
+    row is detected and skipped when present.  CICIDS-2017 files are
     header-driven with surrounding whitespace trimmed from names and the
     "Label" column designated as the label.  Generic requires a header; its
     label is ``label_column``, else the first column named label, class,
@@ -315,13 +315,19 @@ def load_csv(path: str | Path, profile: Profile | str,
     return Dataset(schema=schema, columns=_parse_lines(lines, schema))
 
 
+def require_label(d: Dataset) -> str:
+    """The label column's name; a SchemaError naming the labels looked for
+    when the dataset has none."""
+    if d.label_column is None:
+        raise SchemaError("dataset has no label column: none is named label, class, "
+                          "target or labels (Label in CICIDS-2017 files)")
+    return d.label_column
+
+
 def split_xy(d: Dataset) -> tuple[Dataset, np.ndarray]:
     """Separate the features from the label tokens (an object array of str);
     Ignored columns are dropped."""
-    label = d.label_column
-    if label is None:
-        raise SchemaError("dataset has no label column: none is named label, class, "
-                          "target or labels (Label in CICIDS-2017 files)")
+    label = require_label(d)
     x = d.select([s for s in d.schema if s.kind in (ColumnKind.NUMERIC, ColumnKind.CATEGORICAL)])
     return x, d.columns[label]
 

@@ -45,7 +45,9 @@ def _check_nonnegative(x: np.ndarray) -> None:
 
 
 def _frobenius(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-    return float(np.linalg.norm(x - w @ h))
+    res = w @ h           # the one p x q temporary
+    np.subtract(x, res, out=res)
+    return float(np.linalg.norm(res))
 
 
 def _residual(x, xx, w, h, xht, a, b) -> float:
@@ -71,7 +73,10 @@ def random_init(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarra
 def nmf_fit(x, r: int, seed: int) -> NmfModel:
     """Fit W, H of rank r from a seeded random start by multiplicative
     updates; stops when the relative change of the Frobenius residual drops
-    below TOL or MAX_ITER is reached.  Only H is kept."""
+    below TOL or MAX_ITER is reached.  Only H is kept.
+
+    X H^T and the W update's quotient live in two p x r buffers filled in
+    place, so the updates allocate nothing of X's row count."""
     if r < 1:
         raise ConfigError("component count r must be >= 1")
     xv = values_of(x)
@@ -88,10 +93,15 @@ def nmf_fit(x, r: int, seed: int) -> NmfModel:
     prev = _frobenius(xv, w, h)
     converged = False
     it = 0
+    xht, quot = np.empty_like(w), np.empty_like(w)
     for it in range(1, MAX_ITER + 1):
         h *= (w.T @ xv) / (wtw @ h + EPS)
-        xht, hht = xv @ h.T, h @ h.T
-        w *= xht / (w @ hht + EPS)
+        hht = h @ h.T
+        np.matmul(xv, h.T, out=xht)
+        np.matmul(w, hht, out=quot)
+        quot += EPS
+        np.divide(xht, quot, out=quot)
+        w *= quot
         wtw = w.T @ w
         err = _residual(xv, xx, w, h, xht, wtw, hht)
         trace.append(err)
@@ -99,6 +109,7 @@ def nmf_fit(x, r: int, seed: int) -> NmfModel:
             converged = True
             break
         prev = err
+    del xht, quot         # before the direct norm's p x q temporary
     trace[-1] = _frobenius(xv, w, h)
     return NmfModel(h=h, objective_trace=trace, iterations_run=it, converged=converged)
 
@@ -108,7 +119,8 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
 
     H stays frozen; W_new is found by the H-fixed multiplicative update from
     a deterministic row-local least-squares warm start (so identical rows map
-    identically and all-zero rows stay all-zero)."""
+    identically and all-zero rows stay all-zero).  Besides W it holds three
+    p x r arrays, X H^T, W H H^T and the update's quotient, filled in place."""
     xv = values_of(x_new)
     if xv.shape[1] != model.h.shape[1]:
         raise SchemaError(
@@ -121,16 +133,20 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
     # clipped least-squares projection per row; the floor keeps entries off
     # the zero fixed point of the multiplicative update
     floor = 1e-6 * row_sums / h_sum
-    w = np.maximum(xv @ np.linalg.pinv(h), floor)
+    w = xv @ np.linalg.pinv(h)
+    np.maximum(w, floor, out=w)
     w[row_sums[:, 0] == 0.0] = 0.0
 
     xht = xv @ h.T      # H is frozen, so the numerator is the same every iteration
     xx = float(np.vdot(xv, xv))
     whh = w @ hht       # <W, W H H^T> = <W^T W, H H^T>
     prev = _residual(xv, xx, w, h, xht, w, whh)
+    quot = np.empty_like(w)
     for _ in range(MAX_ITER):
-        w *= xht / (whh + EPS)
-        whh = w @ hht
+        np.add(whh, EPS, out=quot)
+        np.divide(xht, quot, out=quot)
+        w *= quot
+        np.matmul(w, hht, out=whh)
         err = _residual(xv, xx, w, h, xht, w, whh)
         if abs(prev - err) / max(prev, EPS) < TOL:
             break

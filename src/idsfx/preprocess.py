@@ -229,14 +229,15 @@ def tfidf_fit(x: FeatureMatrix) -> TfidfModel:
     """Fit smoothed inverse-document-frequency weights per feature column.
 
     Each cell plays the role of a term frequency; df(j) counts rows with a
-    positive value in column j and idf(j) = ln((1+p)/(1+df(j))) + 1.
+    positive value in column j after the shift and
+    idf(j) = ln((1+p)/(1+df(j))) + 1.  A rounded sum v + s is positive
+    exactly when v > -s, so no shifted copy is made.
     """
     if x.n_rows == 0 or x.n_cols == 0:
         raise PipelineError("cannot fit TF-IDF on an empty matrix")
     mins = x.values.min(axis=0)
     shifts = np.where(mins < 0, -mins, 0.0)
-    shifted = x.values + shifts
-    df = np.count_nonzero(shifted > 0, axis=0).astype(np.float64)
+    df = np.count_nonzero(x.values > -shifts, axis=0).astype(np.float64)
     idf = np.log((1.0 + x.n_rows) / (1.0 + df)) + 1.0
     return TfidfModel(idf=idf, shifts=shifts, names=list(x.names))
 
@@ -245,13 +246,27 @@ def tfidf_apply(model: TfidfModel, x: FeatureMatrix) -> FeatureMatrix:
     """Shift, clip at 0, weight by idf, then scale every row to unit L2 norm.
 
     Fit rows never go below 0 after the shift; a scored cell below its
-    column's training minimum is clipped to 0."""
+    column's training minimum is clipped to 0.  The matrix is transformed
+    in place: ``x.values`` is consumed and returned, so pass a copy to keep
+    it."""
     if x.names != model.names:
         raise SchemaError("feature columns differ from TF-IDF fit time")
-    out = x.values + model.shifts
+    out = x.values
+    out += model.shifts
     np.maximum(out, 0.0, out=out)
     out *= model.idf
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    norms = _row_norms(out)
     norms[norms == 0.0] = 1.0  # zero rows stay zero
     out /= norms
     return FeatureMatrix(values=out, names=list(x.names))
+
+
+def _row_norms(v: np.ndarray, block_cells: int = 1 << 16) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1, keepdims=True)`` of a C-ordered matrix,
+    the same bits, squaring one block of rows at a time instead of all."""
+    norms = np.empty((v.shape[0], 1))
+    step = max(1, block_cells // max(v.shape[1], 1))
+    for lo in range(0, v.shape[0], step):
+        rows = v[lo:lo + step]
+        np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True), out=norms[lo:lo + step])
+    return norms

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 
 from . import classifiers as clf
-from .data import Dataset, split_xy, train_test_split
+from .data import Dataset, require_label, split_xy, train_test_split
 from .errors import ConfigError
 from .evaluate import EvalReport, accuracy, confusion
 from .pipeline import FittedPipeline, PipelineConfig, pipeline_fit, pipeline_transform, stage
@@ -39,13 +39,15 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
 
     The split and the classifiers are seeded with ``cfg.seed``.  Returns the
     report, the fitted pipeline and the wall-clock timings of each step; an
-    error names the step.  Timings live outside the report so report files
-    stay byte-reproducible.
+    error names the step, and a dataset without labels is refused before the
+    first.  Timings live outside the report so report files stay
+    byte-reproducible.
     """
     algorithms = list(clf.ALGORITHMS if algorithms is None else algorithms)
     check_algorithms(algorithms)
     algorithms.sort()
     cfg.validate()
+    require_label(d)
     timings: dict[str, float] = {}
 
     with stage("split", timings):

@@ -1,16 +1,20 @@
-"""Peak and retained memory of repeated six-classifier evaluates in one process.
+"""Peak and retained memory of repeated evaluates in one process.
 
     python3 tests/rss_probe.py [--ops 60] [--seed 1] [--rows 180]
+        [--classifiers gaussian_nb,logistic_regression,knn]
 
 Writes NSL-KDD look-alikes with ``clibench/generate.py`` (one file per
-operation, as the ``kdd-evaluate`` workload does) and runs ``idsfx evaluate``
-on them with that workload's arguments, one after another in this fresh
-process, after one warm-up operation.  Every 10 operations it prints the
-process's peak resident set (VmHWM) and glibc's heap in use (``mallinfo2``'s
-``uordblks``), so a rise in either can be read over more operations than a
-20 s benchmark run makes.  The program's output and log lines are dropped.
-This is a script, not a test; ``heap_in_use`` is also what the retained-heap
-test reads.
+operation, as the ``kdd-evaluate`` and ``kdd-scale`` workloads do) and runs
+``idsfx evaluate`` on them with those workloads' arguments, one after another
+in this fresh process, after one warm-up operation.  ``--classifiers`` picks
+the classifiers (all six by default), so ``--rows 6000 --classifiers
+gaussian_nb,logistic_regression,knn`` replays ``kdd-scale``'s mix.  Every 10
+operations it prints the process's peak resident set (VmHWM) and glibc's heap
+in use (``mallinfo2``'s ``uordblks``), so a rise in either can be read over
+more operations than a 20 s benchmark run makes.  VmHWM includes the
+generator, which writes each input in this same process.  The program's
+output and log lines are dropped.  This is a script, not a test;
+``heap_in_use`` is also what the retained-heap test reads.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import contextlib
 import ctypes
 import io
+import json
 import logging
 import sys
 import tempfile
@@ -68,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ops", type=int, default=60)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rows", type=int, default=180)
+    parser.add_argument("--classifiers", default=None,
+                        help="comma-separated classifiers (default: all six)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "clibench"))
@@ -78,14 +85,20 @@ def main(argv: list[str] | None = None) -> int:
     logging.disable(logging.WARNING)   # the program's own log lines
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        picked = []
+        if args.classifiers:
+            config = work / "config.json"
+            config.write_text(json.dumps({"classifiers": args.classifiers.split(",")}))
+            picked = ["--config", str(config)]
 
         def evaluate(stream: str, index: int) -> None:
             dataset = work / f"{stream}-{index}.csv"
             generate.write(dataset, "nsl-kdd", args.rows, args.seed, stream, index)
             with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["evaluate", "--profile", "nsl-kdd", "--dataset", str(dataset),
-                               "--components", "30", "--select", "20",
-                               "--out", str(work / "out"), "--test-fraction", "0.5"])
+                rc = cli.main(["evaluate", *picked, "--profile", "nsl-kdd",
+                               "--dataset", str(dataset), "--components", "30",
+                               "--select", "20", "--out", str(work / "out"),
+                               "--test-fraction", "0.5"])
             if rc != 0:
                 raise SystemExit(f"evaluate exited {rc} on {dataset.name}")
             dataset.unlink()

@@ -242,9 +242,9 @@ class TestKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a distance block, the one before it and the partition's indices
-        # come to 3 blocks; forming the distances from temporaries adds one
-        assert peak < 3.5 * 8 * classifiers.KNN_BLOCK_CELLS
+        # the distance block and its partition's indices come to 2 blocks; no
+        # block's indices outlive it, and the buffer is allocated once
+        assert peak < 2.3 * 8 * classifiers.KNN_BLOCK_CELLS
 
 
 class TestGaussianNb:

@@ -8,6 +8,7 @@ import pytest
 
 from idsfx.classifiers import ALGORITHMS
 from idsfx.cli import main
+from idsfx.data import KDD_CATEGORICAL, KDD_FEATURES
 from idsfx.pipeline import pipeline_load
 from tests.conftest import make_blob_dataset, write_dataset_csv
 
@@ -324,6 +325,62 @@ class TestFeaturesOnly:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "no label column: none is named label, class, target or labels" in err[0]
         assert not (out / "pipeline.json").exists()
+
+    def test_evaluate_refuses_before_any_stage_as_fit_does(self, tmp_path, capsys):
+        _, bare = self._files(tmp_path, "label")
+        err = {}
+        for command in ("fit", "evaluate"):
+            assert main([command, "--dataset", str(bare), "--components", "2",
+                         "--select", "1", "--out", str(tmp_path / command)]) == 1
+            err[command] = capsys.readouterr().err
+        assert err["evaluate"] == err["fit"] == (
+            "error: dataset has no label column: none is named label, class, target "
+            "or labels (Label in CICIDS-2017 files)\n")
+
+
+def _write_kdd(path):
+    """A 60-row NSL-KDD-shaped file: the 41 features, a label of two classes
+    and the difficulty column, no header."""
+    rng = np.random.default_rng(6)
+    lines = []
+    for i in range(60):
+        cells = [str(rng.choice(["tcp", "udp", "icmp"])) if name in KDD_CATEGORICAL
+                 else f"{rng.random() * 9:.2f}" for name in KDD_FEATURES]
+        lines.append(",".join(cells + [("normal", "dos")[i % 2], str(i % 21)]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestFeaturesOnlyNslKdd:
+    """The 41 feature columns of an NSL-KDD file load without a label."""
+
+    @staticmethod
+    def _files(tmp_path):
+        labelled = _write_kdd(tmp_path / "labelled.csv")
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(",".join(line.split(",")[:41]) + "\n"
+                                for line in labelled.read_text().splitlines()))
+        return labelled, bare
+
+    def test_transform_matches_the_labelled_file(self, tmp_path):
+        labelled, bare = self._files(tmp_path)
+        run = tmp_path / "run"
+        assert main(["fit", "--dataset", str(labelled), "--profile", "nsl-kdd",
+                     "--components", "4", "--select", "2", "--out", str(run)]) == 0
+        for data in (labelled, bare):
+            assert main(["transform", "--pipeline", str(run / "pipeline.json"),
+                         "--profile", "nsl-kdd", "--dataset", str(data),
+                         "--out", str(tmp_path / data.stem)]) == 0
+        written = (tmp_path / "bare" / "transformed.csv").read_bytes()
+        assert written == (tmp_path / "labelled" / "transformed.csv").read_bytes()
+        assert len(written.splitlines()) == 61
+
+    def test_fit_exits_1_naming_the_label(self, tmp_path, capsys):
+        _, bare = self._files(tmp_path)
+        assert main(["fit", "--dataset", str(bare), "--profile", "nsl-kdd",
+                     "--components", "4", "--select", "2",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "no label column: none is named label" in capsys.readouterr().err
 
 
 class TestNoTfidf:

@@ -60,6 +60,22 @@ class TestLoadCsv:
         d = load_csv(_write(tmp_path, "k.csv", _kdd_row() + "\n"), "nsl-kdd")
         assert len(d.schema) == 42
 
+    @pytest.mark.parametrize("width,message", [
+        (40, "expected 41 to 43 columns for this profile, found 40"),
+        (44, "expected 41 to 43 columns for this profile, found 44")])
+    def test_kdd_profile_refuses_other_widths(self, tmp_path, width, message):
+        row = (_kdd_row(difficulty=3) + ",7").split(",")[:width]
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            load_csv(_write(tmp_path, "k.csv", ",".join(row) + "\n"), "nsl-kdd")
+
+    def test_kdd_profile_features_only(self, tmp_path):
+        # the 41 features alone, with or without their header, have no label
+        row = ",".join(_kdd_row().split(",")[:41])
+        for text in (row, ",".join(KDD_FEATURES) + "\n" + row):
+            d = load_csv(_write(tmp_path, "k.csv", text + "\n"), "nsl-kdd")
+            assert d.label_column is None and d.n_rows == 1
+            assert [s.name for s in d.schema] == KDD_FEATURES
+
     def test_kdd_header_detected(self, tmp_path):
         header = ",".join(KDD_FEATURES + ["class"])
         text = header + "\n" + _kdd_row("anomaly") + "\n"

@@ -331,6 +331,17 @@ def test_svm_weights_do_not_depend_on_blas_threads(tmp_path):
         assert fits[0][key].tobytes() == fits[1][key].tobytes(), key
 
 
+def test_svm_int32_visit_order_gives_the_int64_weights():
+    # the kernel only takes rows with the order, whatever its integer width
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 6))
+    y = rng.integers(0, 3, 300)
+    perms = np.stack([rng.permutation(300) for _ in range(5)])
+    w64, b64 = kernels.svm_sgd(X, y, 3, 5, 1e-4, perms)
+    w32, b32 = kernels.svm_sgd(X, y, 3, 5, 1e-4, perms.astype(np.int32))
+    assert w32.tobytes() == w64.tobytes() and b32.tobytes() == b64.tobytes()
+
+
 def test_svm_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(0)
     n, d, n_classes = 3000, 41, 5

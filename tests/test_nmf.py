@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,33 @@ class TestReconstructionError:
         m = nmf_fit(x, 5, 3)
         direct = np.linalg.norm(x - replay_w(x, m, 5, 3) @ m.h) / np.linalg.norm(x)
         assert m.objective_trace[-1] / np.linalg.norm(x) == direct
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_frobenius_forms_one_p_by_q_array(self):
+        rng = np.random.default_rng(2)
+        x, w, h = rng.random((20000, 20)), rng.random((20000, 3)), rng.random((3, 20))
+        assert _traced_peak(nmf._frobenius, x, w, h) < 1.2 * x.nbytes
+
+    def test_transform_holds_a_fixed_number_of_p_by_r_arrays(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        p, q, r = 20000, 12, 10
+        x = rng.random((p, r)) @ rng.random((r, q)) + 0.1 * rng.random((p, q))
+        model = nmf_fit(x[:2000], r, 0)
+        peaks = {}
+        for iterations in (1, nmf.MAX_ITER):
+            monkeypatch.setattr(nmf, "MAX_ITER", iterations)
+            peaks[iterations] = _traced_peak(nmf_transform, model, x)
+        # W, X H^T, W H H^T and the quotient, plus a few p-vectors
+        p_by_r = 8 * p * r
+        assert max(peaks.values()) < 4.5 * p_by_r
+        assert abs(peaks[1] - peaks[nmf.MAX_ITER]) < 0.05 * p_by_r

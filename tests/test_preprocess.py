@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from idsfx.data import ColumnKind, ColumnSpec, Dataset
 from idsfx.errors import PipelineError, SchemaError
 from idsfx.matrix import FeatureMatrix
-from idsfx.preprocess import (describe, drop_near_zero_mean, encode_categoricals,
-                              encode_labels, impute_apply, impute_fit,
-                              tfidf_apply, tfidf_fit)
+from idsfx.preprocess import (_row_norms, describe, drop_near_zero_mean,
+                              encode_categoricals, encode_labels, impute_apply,
+                              impute_fit, tfidf_apply, tfidf_fit)
 
 from conftest import make_blob_dataset
 
@@ -227,9 +228,10 @@ class TestTfidf:
         expected = (m + model.shifts) * model.idf
         norms = np.linalg.norm(expected, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        assert np.array_equal(tfidf_apply(model, fm).values, expected / norms)
-        # scored rows reach below the training minimum
+        # scored rows reach below the training minimum; drawn before the
+        # apply below transforms m in place
         below = m - rng.random(m.shape) * 4.0
+        assert np.array_equal(tfidf_apply(model, fm).values, expected / norms)
         out = tfidf_apply(model, FeatureMatrix(below, fm.names)).values
         assert np.isfinite(out).all() and (out >= 0).all()
 
@@ -240,3 +242,26 @@ class TestTfidf:
         out = tfidf_apply(model, new)
         expected = 5.0 * model.idf[1]
         assert out.values[0, 1] == pytest.approx(expected / abs(expected))
+
+    def test_fit_and_apply_make_no_table_sized_temporary(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(0.0, 2.0, (40000, 25))
+        fm = FeatureMatrix(m, [f"f{j}" for j in range(25)])
+        tracemalloc.start()
+        try:
+            out = tfidf_apply(tfidf_fit(fm), fm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values is m     # transformed in place
+        # df's comparison is a bool table, an eighth of the matrix; the row
+        # norms square one block of rows at a time
+        assert peak < 0.25 * m.nbytes
+
+    @pytest.mark.parametrize("cols", [1, 7, 8, 9, 41, 130])
+    def test_row_norms_are_numpys_bits(self, cols):
+        rng = np.random.default_rng(cols)
+        v = rng.lognormal(0.0, 3.0, (301, cols))
+        for block_cells in (1, 64, 1 << 16):
+            got = _row_norms(v, block_cells)
+            assert got.tobytes() == np.linalg.norm(v, axis=1, keepdims=True).tobytes()
