@@ -183,9 +183,13 @@ def _fit_svm(x, y, k, seed):
 
 # ------------------------------------------------------------------------ knn
 
-# k-NN prediction builds the distances of about this many (query row,
-# training row) pairs at a time, 2 MB of float64, in one buffer.
-KNN_BLOCK_CELLS = 1 << 18
+# k-NN prediction builds the distances of about KNN_BLOCK_CELLS (query row,
+# training row) pairs at a time, 8 MB of float64, in one buffer, and picks
+# the nearest rows of about KNN_SELECT_CELLS of them at a time, 2 MB of
+# int64 partition indices.  BLAS needs a few dozen query rows a product to
+# run at speed, and may round another block shape differently.
+KNN_BLOCK_CELLS = 1 << 20
+KNN_SELECT_CELLS = 1 << 18
 
 
 def _fit_knn(x, y, k, seed):
@@ -201,21 +205,17 @@ def _predict_knn(state, x):
     lowest training indices among the rows at exactly that distance: the set
     a stable sort would put first.  Vote ties go to the lowest class code.
 
-    A vote depends only on which rows are chosen, not on their order, so no
-    row is sorted: ``argpartition`` finds the k-th distance in linear time,
-    and only its first ``k`` columns are kept.  Where more than ``k`` rows
-    lie within it, a running count of the rows at that distance keeps the
-    lowest indices.  Rows with fewer than ``k`` comparable distances (NaN
-    from overflowing or non-finite cells) are sorted.  Queries go in blocks
-    of about ``KNN_BLOCK_CELLS`` distances, each built in place in one
-    buffer, allocated once, by the same operations in the same order as the
-    expression above.
+    Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances, each built
+    in place in one buffer, allocated once, by the same operations in the
+    same order as the expression above.  Each block's rows are voted on in
+    sub-blocks of about ``KNN_SELECT_CELLS`` distances by ``_knn_votes``.
     """
     xt, yt = state["x"], state["y"]
     k, n_classes = state["k"], state["n_classes"]
     sq_t = np.einsum("ij,ij->i", xt, xt)
     out = np.empty(x.shape[0], dtype=np.int64)
     step = max(1, KNN_BLOCK_CELLS // xt.shape[0])
+    sub = max(1, KNN_SELECT_CELLS // xt.shape[0])
     block = np.empty((min(step, x.shape[0]), xt.shape[0]))
     for lo in range(0, x.shape[0], step):
         xc = x[lo:lo + step]
@@ -223,23 +223,38 @@ def _predict_knn(state, x):
         d2 *= 2.0
         np.subtract(np.einsum("ij,ij->i", xc, xc)[:, None], d2, out=d2)
         d2 += sq_t
-        near = np.argpartition(d2, k - 1, axis=1)[:, :k].copy()
-        kth = np.take_along_axis(d2, near, axis=1).max(axis=1)[:, None]
-        within = np.count_nonzero(d2 <= kth, axis=1)   # 0 where kth is NaN
-        tied = np.flatnonzero(within > k)
-        if tied.size:
-            dt, kt = d2[tied], kth[tied]
-            lt, at = dt < kt, dt == kt
-            room = k - np.count_nonzero(lt, axis=1)
-            keep = lt | (at & (np.cumsum(at, axis=1) <= room[:, None]))
-            near[tied] = np.nonzero(keep)[1].reshape(-1, k)
-        short = np.flatnonzero(within < k)
-        if short.size:
-            near[short] = np.argsort(d2[short], axis=1, kind="stable")[:, :k]
-        cells = np.arange(near.shape[0])[:, None] * n_classes + yt[near]
-        votes = np.bincount(cells.ravel(), minlength=near.shape[0] * n_classes)
-        out[lo:lo + step] = votes.reshape(-1, n_classes).argmax(axis=1)
+        votes = out[lo:lo + step]
+        for at in range(0, d2.shape[0], sub):
+            votes[at:at + sub] = _knn_votes(d2[at:at + sub], yt, k, n_classes)
     return out
+
+
+def _knn_votes(d2, yt, k, n_classes):
+    """The vote of each row of distances ``d2`` to the training rows.
+
+    A vote depends only on which rows are chosen, not on their order, so no
+    row is sorted: ``argpartition`` finds the k-th distance in linear time,
+    and only its first ``k`` columns are kept.  Where more than ``k`` rows
+    lie within it, a running count of the rows at that distance keeps the
+    lowest indices.  Rows with fewer than ``k`` comparable distances (NaN
+    from overflowing or non-finite cells) are sorted.
+    """
+    near = np.argpartition(d2, k - 1, axis=1)[:, :k].copy()
+    kth = np.take_along_axis(d2, near, axis=1).max(axis=1)[:, None]
+    within = np.count_nonzero(d2 <= kth, axis=1)   # 0 where kth is NaN
+    tied = np.flatnonzero(within > k)
+    if tied.size:
+        dt, kt = d2[tied], kth[tied]
+        lt, at = dt < kt, dt == kt
+        room = k - np.count_nonzero(lt, axis=1)
+        keep = lt | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+        near[tied] = np.nonzero(keep)[1].reshape(-1, k)
+    short = np.flatnonzero(within < k)
+    if short.size:
+        near[short] = np.argsort(d2[short], axis=1, kind="stable")[:, :k]
+    cells = np.arange(near.shape[0])[:, None] * n_classes + yt[near]
+    votes = np.bincount(cells.ravel(), minlength=near.shape[0] * n_classes)
+    return votes.reshape(-1, n_classes).argmax(axis=1)
 
 
 # -------------------------------------------------------------- decision tree

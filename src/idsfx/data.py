@@ -320,7 +320,8 @@ def require_label(d: Dataset) -> str:
     when the dataset has none."""
     if d.label_column is None:
         raise SchemaError("dataset has no label column: none is named label, class, "
-                          "target or labels (Label in CICIDS-2017 files)")
+                          "target or labels (Label in CICIDS-2017 files); NSL-KDD "
+                          "and Military Kaggle files carry it as column 42")
     return d.label_column
 
 

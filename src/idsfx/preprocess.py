@@ -261,11 +261,16 @@ def tfidf_apply(model: TfidfModel, x: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(values=out, names=list(x.names))
 
 
-def _row_norms(v: np.ndarray, block_cells: int = 1 << 16) -> np.ndarray:
+# Row norms square about this many cells (0.5 MB of float64) at a time.
+NORM_BLOCK_CELLS = 1 << 16
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(v, axis=1, keepdims=True)`` of a C-ordered matrix,
-    the same bits, squaring one block of rows at a time instead of all."""
+    the same bits, squaring about ``NORM_BLOCK_CELLS`` cells at a time
+    instead of all."""
     norms = np.empty((v.shape[0], 1))
-    step = max(1, block_cells // max(v.shape[1], 1))
+    step = max(1, NORM_BLOCK_CELLS // max(v.shape[1], 1))
     for lo in range(0, v.shape[0], step):
         rows = v[lo:lo + step]
         np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True), out=norms[lo:lo + step])

@@ -208,10 +208,14 @@ class TestKnn:
             q.flat[odd] = rng.choice([np.nan, np.inf, -np.inf, 1e200, -1e200],
                                      odd.size)
         cells = classifiers.KNN_BLOCK_CELLS if block_rows is None else block_rows * n
+        # votes go in sub-blocks of 1 to 8 rows, which need not divide a block
+        select = classifiers.KNN_SELECT_CELLS if block_rows is None else \
+            int(rng.integers(1, 9)) * n
         # the oracle gets the same row blocks, so both see the same distance
         # bits: BLAS may round a product differently for another block shape
         chunk = max(1, cells // n)
         with mock.patch.object(classifiers, "KNN_BLOCK_CELLS", cells), \
+                mock.patch.object(classifiers, "KNN_SELECT_CELLS", select), \
                 np.errstate(over="ignore", invalid="ignore"):
             got = classifiers._predict_knn(state, q)
             want = predict_knn_sorted(state, q, chunk)
@@ -242,9 +246,9 @@ class TestKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the distance block and its partition's indices come to 2 blocks; no
-        # block's indices outlive it, and the buffer is allocated once
-        assert peak < 2.3 * 8 * classifiers.KNN_BLOCK_CELLS
+        # one distance block, allocated once, and the partition indices of one
+        # selection sub-block, freed once its k nearest columns are copied
+        assert peak < 8 * (classifiers.KNN_BLOCK_CELLS + 1.15 * classifiers.KNN_SELECT_CELLS)
 
 
 class TestGaussianNb:

@@ -335,7 +335,8 @@ class TestFeaturesOnly:
             err[command] = capsys.readouterr().err
         assert err["evaluate"] == err["fit"] == (
             "error: dataset has no label column: none is named label, class, target "
-            "or labels (Label in CICIDS-2017 files)\n")
+            "or labels (Label in CICIDS-2017 files); NSL-KDD and Military Kaggle files "
+            "carry it as column 42\n")
 
 
 def _write_kdd(path):
@@ -380,7 +381,9 @@ class TestFeaturesOnlyNslKdd:
         assert main(["fit", "--dataset", str(bare), "--profile", "nsl-kdd",
                      "--components", "4", "--select", "2",
                      "--out", str(tmp_path / "run")]) == 1
-        assert "no label column: none is named label" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no label column: none is named label" in err
+        assert "NSL-KDD and Military Kaggle files carry it as column 42" in err
 
 
 class TestNoTfidf:

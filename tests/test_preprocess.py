@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from idsfx.data import ColumnKind, ColumnSpec, Dataset
 from idsfx.errors import PipelineError, SchemaError
+from idsfx import preprocess
 from idsfx.matrix import FeatureMatrix
 from idsfx.preprocess import (_row_norms, describe, drop_near_zero_mean,
                               encode_categoricals, encode_labels, impute_apply,
@@ -259,9 +260,10 @@ class TestTfidf:
         assert peak < 0.25 * m.nbytes
 
     @pytest.mark.parametrize("cols", [1, 7, 8, 9, 41, 130])
-    def test_row_norms_are_numpys_bits(self, cols):
+    def test_row_norms_are_numpys_bits(self, cols, monkeypatch):
         rng = np.random.default_rng(cols)
         v = rng.lognormal(0.0, 3.0, (301, cols))
         for block_cells in (1, 64, 1 << 16):
-            got = _row_norms(v, block_cells)
+            monkeypatch.setattr(preprocess, "NORM_BLOCK_CELLS", block_cells)
+            got = _row_norms(v)
             assert got.tobytes() == np.linalg.norm(v, axis=1, keepdims=True).tobytes()
