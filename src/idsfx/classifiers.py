@@ -183,11 +183,12 @@ def _fit_svm(x, y, k, seed):
 
 # ------------------------------------------------------------------------ knn
 
-# k-NN prediction builds the distances of about KNN_BLOCK_CELLS (query row,
-# training row) pairs at a time, 8 MB of float64, in one buffer, and picks
-# the nearest rows of about KNN_SELECT_CELLS of them at a time, 2 MB of
-# int64 partition indices.  BLAS needs a few dozen query rows a product to
-# run at speed, and may round another block shape differently.
+# k-NN distance blocks hold at most KNN_BLOCK_ROWS query rows and about
+# KNN_BLOCK_CELLS (query row, training row) pairs, 8 MB of float64; votes go
+# over about KNN_SELECT_CELLS of them at a time, 2 MB of int64 indices.  BLAS
+# needs a few dozen query rows a product to run at speed, and may round
+# another block shape differently.
+KNN_BLOCK_ROWS = 32
 KNN_BLOCK_CELLS = 1 << 20
 KNN_SELECT_CELLS = 1 << 18
 
@@ -205,16 +206,17 @@ def _predict_knn(state, x):
     lowest training indices among the rows at exactly that distance: the set
     a stable sort would put first.  Vote ties go to the lowest class code.
 
-    Queries go in blocks of about ``KNN_BLOCK_CELLS`` distances, each built
-    in place in one buffer, allocated once, by the same operations in the
-    same order as the expression above.  Each block's rows are voted on in
-    sub-blocks of about ``KNN_SELECT_CELLS`` distances by ``_knn_votes``.
+    Queries go in blocks of at most ``KNN_BLOCK_ROWS`` rows and about
+    ``KNN_BLOCK_CELLS`` distances, each built in place in one buffer,
+    allocated once, by the same operations in the same order as the
+    expression above.  Each block's rows are voted on in sub-blocks of
+    about ``KNN_SELECT_CELLS`` distances by ``_knn_votes``.
     """
     xt, yt = state["x"], state["y"]
     k, n_classes = state["k"], state["n_classes"]
     sq_t = np.einsum("ij,ij->i", xt, xt)
     out = np.empty(x.shape[0], dtype=np.int64)
-    step = max(1, KNN_BLOCK_CELLS // xt.shape[0])
+    step = max(1, min(KNN_BLOCK_ROWS, KNN_BLOCK_CELLS // xt.shape[0]))
     sub = max(1, KNN_SELECT_CELLS // xt.shape[0])
     block = np.empty((min(step, x.shape[0]), xt.shape[0]))
     for lo in range(0, x.shape[0], step):

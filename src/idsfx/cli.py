@@ -150,8 +150,7 @@ def cmd_inspect(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = load_csv(cfg.dataset, cfg.profile)
-    fp, _, _ = pipeline_fit(d, cfg.pipeline)
+    fp, _, _ = pipeline_fit(load_csv(cfg.dataset, cfg.profile), cfg.pipeline)
     pipeline_save(fp, out / "pipeline.json")
     report_to_csv(fp.chi2, out / "chi2_scores.csv")
     print(f"pipeline written to {out / 'pipeline.json'}")
@@ -160,8 +159,7 @@ def cmd_fit(args) -> int:
 
 def cmd_transform(args) -> int:
     fp = pipeline_load(args.pipeline)
-    d = load_csv(args.dataset, args.profile or "generic")
-    fm = pipeline_transform(fp, d)
+    fm = pipeline_transform(fp, load_csv(args.dataset, args.profile or "generic"))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "transformed.csv"
@@ -173,9 +171,8 @@ def cmd_transform(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
-    d = load_csv(cfg.dataset, cfg.profile)
     report, fp, timings = run_evaluation(
-        d, cfg.pipeline, algorithms=cfg.classifiers,
+        load_csv(cfg.dataset, cfg.profile), cfg.pipeline, algorithms=cfg.classifiers,
         test_fraction=cfg.test_fraction, dataset_id=Path(cfg.dataset).name)
     pipeline_save(fp, out / "pipeline.json")
     export_report(report, out / "report.csv", fmt="csv")

@@ -119,8 +119,9 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
 
     H stays frozen; W_new is found by the H-fixed multiplicative update from
     a deterministic row-local least-squares warm start (so identical rows map
-    identically and all-zero rows stay all-zero).  Besides W it holds three
-    p x r arrays, X H^T, W H H^T and the update's quotient, filled in place."""
+    identically and all-zero rows stay all-zero).  Besides W it holds two
+    p x r arrays, X H^T and W H H^T, filled in place; the update's quotient
+    is formed in the W H H^T buffer, which the next product overwrites."""
     xv = values_of(x_new)
     if xv.shape[1] != model.h.shape[1]:
         raise SchemaError(
@@ -141,11 +142,10 @@ def nmf_transform(model: NmfModel, x_new) -> FeatureMatrix:
     xx = float(np.vdot(xv, xv))
     whh = w @ hht       # <W, W H H^T> = <W^T W, H H^T>
     prev = _residual(xv, xx, w, h, xht, w, whh)
-    quot = np.empty_like(w)
     for _ in range(MAX_ITER):
-        np.add(whh, EPS, out=quot)
-        np.divide(xht, quot, out=quot)
-        w *= quot
+        whh += EPS
+        np.divide(xht, whh, out=whh)
+        w *= whh
         np.matmul(w, hht, out=whh)
         err = _residual(xv, xx, w, h, xht, w, whh)
         if abs(prev - err) / max(prev, EPS) < TOL:

@@ -136,9 +136,11 @@ def _check_unshifted(fm: FeatureMatrix) -> None:
 def pipeline_fit(d: Dataset, cfg: PipelineConfig
                  ) -> tuple[FittedPipeline, FeatureMatrix, np.ndarray]:
     """Fit every stage in order; returns the fitted pipeline, the final
-    rows x V matrix and the encoded labels."""
+    rows x V matrix and the encoded labels.  The raw columns are let go once
+    encoded, so a ``d`` the caller does not keep is freed before TF-IDF."""
     cfg.validate()
     x, y = split_xy(d)
+    del d
     fingerprint = _fingerprint(x)
 
     with stage("drop_near_zero_mean"):
@@ -147,6 +149,7 @@ def pipeline_fit(d: Dataset, cfg: PipelineConfig
         baseline, fm = baseline_fit(x)
     with stage("encode_labels"):
         codes, label_enc = encode_labels(y)
+    del x, y
     tfidf = None
     if cfg.tfidf_enabled:
         with stage("tfidf"):
@@ -179,13 +182,15 @@ def _check_schema(fp: FittedPipeline, x: Dataset) -> None:
 
 
 def pipeline_transform(fp: FittedPipeline, d: Dataset) -> FeatureMatrix:
-    """Apply all fitted stages to a features-only dataset; output is rows x V."""
+    """Apply all fitted stages to a dataset, ignoring any label column; output
+    is rows x V.  As in ``pipeline_fit``, the raw columns are let go once encoded."""
     if d.label_column is not None:
-        d, _ = split_xy(d)
+        d = split_xy(d)[0]
     _check_schema(fp, d)
     keep = [s for s in d.schema if s.name not in set(fp.dropped_columns)]
     with stage("impute_encode"):
         fm = baseline_transform(fp.baseline, d.select(keep))
+    del d
     if fp.tfidf is not None:
         with stage("tfidf"):
             fm = tfidf_apply(fp.tfidf, fm)

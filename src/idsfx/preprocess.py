@@ -2,7 +2,7 @@
 imputation, label/categorical encoding and TF-IDF weighting.
 
 Every stateful step is a fit/apply pair so that unseen rows are transformed
-with frozen training statistics.  Imputation then encoding, the baseline
+with frozen training statistics.  Encoding and imputation, the baseline
 feature space, is one pair (``baseline_fit``/``baseline_transform``) that
 the evaluation's baseline variant and the extraction pipeline both use.
 """
@@ -96,6 +96,12 @@ def drop_near_zero_mean(x: Dataset, stats: SummaryStats,
 class ImputeModel:
     means: dict[str, float]  # fitted per-column replacement value
 
+    def check(self, x: Dataset) -> None:
+        """SchemaError for a numeric column of ``x`` without a fitted mean."""
+        for spec in x.specs(ColumnKind.NUMERIC):
+            if spec.name not in self.means:
+                raise SchemaError(f"column {spec.name!r} was not present at fit time")
+
 
 def impute_fit(x: Dataset) -> ImputeModel:
     means = {}
@@ -108,17 +114,16 @@ def impute_fit(x: Dataset) -> ImputeModel:
     return ImputeModel(means=means)
 
 
-def impute_apply(model: ImputeModel, x: Dataset) -> Dataset:
-    """Replace missing numeric cells with the fitted training means."""
-    cols = {}
-    for spec in x.schema:
-        col = x.columns[spec.name]
+def impute_apply(model: ImputeModel, x: Dataset, fm: FeatureMatrix) -> FeatureMatrix:
+    """Fill the missing numeric cells of ``fm``, ``encode_categoricals``'s
+    matrix of ``x``, with the fitted training means, in place; returns
+    ``fm``.  ``x`` only names the numeric columns and is left as it is."""
+    model.check(x)
+    for j, spec in enumerate(x.schema):
         if spec.kind == ColumnKind.NUMERIC:
-            if spec.name not in model.means:
-                raise SchemaError(f"column {spec.name!r} was not present at fit time")
-            col = np.where(np.isnan(col), model.means[spec.name], col)
-        cols[spec.name] = col
-    return Dataset(schema=list(x.schema), columns=cols)
+            col = fm.values[:, j]
+            col[np.isnan(col)] = model.means[spec.name]
+    return fm
 
 
 @dataclass
@@ -207,15 +212,19 @@ class BaselineModel:
 
 
 def baseline_fit(x_train: Dataset) -> tuple[BaselineModel, FeatureMatrix]:
-    """Fit the baseline; returns it and the encoded training rows."""
+    """Fit the baseline; returns it and the encoded, imputed training rows."""
     imp = impute_fit(x_train)
-    fm, enc = encode_categoricals(impute_apply(imp, x_train))
-    return BaselineModel(impute=imp, cat_encoder=enc), fm
+    fm, enc = encode_categoricals(x_train)
+    return BaselineModel(impute=imp, cat_encoder=enc), impute_apply(imp, x_train, fm)
 
 
 def baseline_transform(bm: BaselineModel, x: Dataset) -> FeatureMatrix:
-    fm, _ = encode_categoricals(impute_apply(bm.impute, x), bm.cat_encoder)
-    return fm
+    """Encode and impute ``x`` as ``baseline_fit`` did its rows.  A numeric
+    column without a fitted mean is refused before the encoding checks the
+    categorical columns or warns of unseen tokens."""
+    bm.impute.check(x)
+    fm, _ = encode_categoricals(x, bm.cat_encoder)
+    return impute_apply(bm.impute, x, fm)
 
 
 @dataclass

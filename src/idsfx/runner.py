@@ -41,7 +41,7 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
     report, the fitted pipeline and the wall-clock timings of each step; an
     error names the step, and a dataset without labels is refused before the
     first.  Timings live outside the report so report files stay
-    byte-reproducible.
+    byte-reproducible.  ``d`` is let go after the split, before the pipeline.
     """
     algorithms = list(clf.ALGORITHMS if algorithms is None else algorithms)
     check_algorithms(algorithms)
@@ -52,6 +52,7 @@ def run_evaluation(d: Dataset, cfg: PipelineConfig,
 
     with stage("split", timings):
         train_d, test_d = train_test_split(d, test_fraction, cfg.seed)
+        del d           # the split copied its rows
         x_train, _ = split_xy(train_d)
         x_test, y_test_tokens = split_xy(test_d)
     with stage("pipeline_fit", timings):

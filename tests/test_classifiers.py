@@ -27,6 +27,25 @@ def knn_state(x, y, k, n_classes):
     return {"x": x, "y": y, "k": min(k, len(x)), "n_classes": n_classes}
 
 
+def knn_block_rows(n):
+    """Query rows in one k-NN distance block against ``n`` training rows."""
+    return max(1, min(classifiers.KNN_BLOCK_ROWS, classifiers.KNN_BLOCK_CELLS // n))
+
+
+def knn_predict_peak(n, queries=2000, features=20):
+    """tracemalloc's peak over one k-NN predict against ``n`` training rows."""
+    rng = np.random.default_rng(0)
+    x = rng.random((n, features))
+    model = train(ClassifierSpec("knn"), x, rng.integers(0, 3, n))
+    q = rng.random((queries, features))
+    tracemalloc.start()
+    try:
+        predict(model, q)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def knn1(x, y):
     classes = np.unique(y)
     state = knn_state(x, np.searchsorted(classes, y), 1, classes.size)
@@ -207,14 +226,19 @@ class TestKnn:
             odd = rng.integers(0, q.size, rng.integers(1, 4))
             q.flat[odd] = rng.choice([np.nan, np.inf, -np.inf, 1e200, -1e200],
                                      odd.size)
-        cells = classifiers.KNN_BLOCK_CELLS if block_rows is None else block_rows * n
-        # votes go in sub-blocks of 1 to 8 rows, which need not divide a block
-        select = classifiers.KNN_SELECT_CELLS if block_rows is None else \
-            int(rng.integers(1, 9)) * n
+        if block_rows is None:
+            rows, cells = classifiers.KNN_BLOCK_ROWS, classifiers.KNN_BLOCK_CELLS
+            select = classifiers.KNN_SELECT_CELLS
+        else:
+            # the row cap or a cell budget of 1 to 8 rows sets the block, and
+            # votes go in sub-blocks of 1 to 8 rows, which need not divide it
+            rows, cells = block_rows, int(rng.integers(1, 9)) * n
+            select = int(rng.integers(1, 9)) * n
         # the oracle gets the same row blocks, so both see the same distance
         # bits: BLAS may round a product differently for another block shape
-        chunk = max(1, cells // n)
-        with mock.patch.object(classifiers, "KNN_BLOCK_CELLS", cells), \
+        chunk = max(1, min(rows, cells // n))
+        with mock.patch.object(classifiers, "KNN_BLOCK_ROWS", rows), \
+                mock.patch.object(classifiers, "KNN_BLOCK_CELLS", cells), \
                 mock.patch.object(classifiers, "KNN_SELECT_CELLS", select), \
                 np.errstate(over="ignore", invalid="ignore"):
             got = classifiers._predict_knn(state, q)
@@ -222,33 +246,22 @@ class TestKnn:
         assert np.array_equal(got, want)
 
     def test_predict_memory_is_bounded_by_the_block(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((20000, 20))
-        model = train(ClassifierSpec("knn"), x, rng.integers(0, 3, 20000))
-        q = rng.random((2000, 20))
-        tracemalloc.start()
-        try:
-            predict(model, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        n = 20000
         # a few float64/int64 arrays of one block, not one per 512 query rows
-        assert peak < 6 * 8 * classifiers.KNN_BLOCK_CELLS
+        assert knn_predict_peak(n) < 6 * 8 * knn_block_rows(n) * n
 
     def test_predict_builds_each_distance_block_in_one_buffer(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((20000, 20))
-        model = train(ClassifierSpec("knn"), x, rng.integers(0, 3, 20000))
-        q = rng.random((2000, 20))
-        tracemalloc.start()
-        try:
-            predict(model, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        n = 20000
+        select_rows = min(max(1, classifiers.KNN_SELECT_CELLS // n), knn_block_rows(n))
         # one distance block, allocated once, and the partition indices of one
         # selection sub-block, freed once its k nearest columns are copied
-        assert peak < 8 * (classifiers.KNN_BLOCK_CELLS + 1.15 * classifiers.KNN_SELECT_CELLS)
+        assert knn_predict_peak(n) < 8 * (knn_block_rows(n) + 1.15 * select_rows) * n
+
+    def test_predict_blocks_hold_at_most_the_row_cap(self):
+        n = 3000    # the cell budget alone would make blocks of 349 rows
+        assert knn_block_rows(n) == classifiers.KNN_BLOCK_ROWS
+        # the distance block and its partition indices, plus O(n)
+        assert knn_predict_peak(n) < 8 * (2 * classifiers.KNN_BLOCK_ROWS + 8) * n
 
 
 class TestGaussianNb:

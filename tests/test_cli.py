@@ -1,11 +1,13 @@
 import csv
 import json
 import logging
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
+from idsfx import cli, pipeline
 from idsfx.classifiers import ALGORITHMS
 from idsfx.cli import main
 from idsfx.data import KDD_CATEGORICAL, KDD_FEATURES
@@ -30,6 +32,39 @@ def _flags(blob_csv, out, extra=()):
     return ["--dataset", str(blob_csv), "--profile", "generic",
             "--out", str(out), "--components", "4", "--select", "3",
             "--seed", "11", *extra]
+
+
+class TestHandOver:
+    """fit, transform and evaluate pass the loaded table on unbound, so it is
+    freed before NMF runs."""
+
+    @pytest.mark.parametrize("command", ["fit", "transform", "evaluate"])
+    def test_loaded_table_is_freed_before_nmf(self, blob_csv, tmp_path,
+                                              monkeypatch, command):
+        refs, alive = [], []
+        real_load, real_nmf = cli.load_csv, pipeline.nmf_transform
+
+        def tracked_load(*args):
+            d = real_load(*args)
+            refs[:] = [weakref.ref(d), *map(weakref.ref, d.columns.values())]
+            return d
+
+        def spy(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return real_nmf(*args)
+        monkeypatch.setattr(cli, "load_csv", tracked_load)
+        monkeypatch.setattr(pipeline, "nmf_transform", spy)
+        run = tmp_path / "run"
+        if command == "transform":
+            assert main(["fit", *_flags(blob_csv, run)]) == 0
+            alive.clear()
+            argv = ["transform", "--pipeline", str(run / "pipeline.json"),
+                    "--dataset", str(blob_csv), "--out", str(tmp_path / "tr")]
+        else:
+            argv = [command, *_flags(blob_csv, run)]
+        assert main(argv) == 0
+        # fit and transform project once; evaluate its train and its test rows
+        assert len(refs) == 7 and alive == [0] * (2 if command == "evaluate" else 1)
 
 
 class TestInspect:

@@ -1,9 +1,11 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from idsfx import runner
 from idsfx.errors import ConfigError, DomainError, SchemaError
 from idsfx.evaluate import (CorrMatrix, EvalReport, accuracy, confusion,
                             export_report, pearson_corr)
@@ -190,3 +192,21 @@ class TestRunEvaluation:
         d = make_blob_dataset(60, 4, 3, seed=0)
         with pytest.raises(ConfigError, match=match):
             run_evaluation(d, PipelineConfig(u=3, v=2), algorithms=algorithms)
+
+    def test_unsplit_table_is_released_after_the_split(self, monkeypatch):
+        refs, alive = [], []
+
+        def tracked():
+            d = make_blob_dataset(60, 4, 3, seed=0)
+            refs.append(weakref.ref(d))
+            refs.extend(weakref.ref(c) for c in d.columns.values())
+            return d
+
+        real = runner.pipeline_fit
+
+        def spy(*args):    # the stage after the split
+            alive.append(sum(r() is not None for r in refs))
+            return real(*args)
+        monkeypatch.setattr(runner, "pipeline_fit", spy)
+        run_evaluation(tracked(), PipelineConfig(u=3, v=2), algorithms=["gaussian_nb"])
+        assert len(refs) == 7 and alive == [0]

@@ -1,4 +1,5 @@
 import json
+import weakref
 import zlib
 from dataclasses import fields
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import idsfx
+from idsfx import pipeline
 from idsfx.data import ColumnKind, ColumnSpec, Dataset, split_xy
 from idsfx.errors import (ConfigError, IntegrityError, PipelineError,
                           SchemaError, VersionError)
@@ -86,6 +88,53 @@ class TestTransform:
         x, _ = split_xy(blob_dataset)
         out = pipeline_transform(fp, x)
         assert out.values.shape == (blob_dataset.n_rows, 3)
+
+
+class TestHandOver:
+    """A table passed unbound is freed once encoded, before NMF runs."""
+
+    @staticmethod
+    def tracked(refs, **kwargs):
+        d = make_blob_dataset(**kwargs)
+        refs.extend(weakref.ref(d.columns[s.name]) for s in d.schema
+                    if s.kind != ColumnKind.LABEL)
+        return d
+
+    @staticmethod
+    def alive_at(monkeypatch, name, refs):
+        """Record how many tracked arrays are alive as ``pipeline.<name>`` starts."""
+        alive, real = [], getattr(pipeline, name)
+
+        def spy(*args):
+            alive.append(sum(r() is not None for r in refs))
+            return real(*args)
+        monkeypatch.setattr(pipeline, name, spy)
+        return alive
+
+    def test_fit_holds_no_raw_feature_array_at_nmf(self, monkeypatch):
+        refs = []
+        alive = self.alive_at(monkeypatch, "nmf_fit", refs)
+        pipeline_fit(self.tracked(refs), small_config())
+        assert len(refs) == 6 and alive == [0]
+        kept = self.tracked(refs)    # a caller that keeps its table keeps it
+        pipeline_fit(kept, small_config())
+        assert alive == [0, 6]
+
+    @pytest.mark.parametrize("features_only", [False, True])
+    def test_transform_holds_no_raw_feature_array_at_nmf(self, blob_dataset,
+                                                         monkeypatch, features_only):
+        fp, _, _ = pipeline_fit(blob_dataset, small_config())
+        refs = []
+        alive = self.alive_at(monkeypatch, "nmf_transform", refs)
+
+        def table():
+            d = self.tracked(refs, seed=9)
+            return split_xy(d)[0] if features_only else d
+        pipeline_transform(fp, table())
+        assert len(refs) == 6 and alive == [0]
+        kept = table()
+        pipeline_transform(fp, kept)
+        assert alive == [0, 6]
 
 
 class TestPersistence:

@@ -77,18 +77,27 @@ class TestDropNearZeroMean:
         assert ColumnSpec("proto", ColumnKind.CATEGORICAL) in out.schema
 
 
+def imputed(model, x):
+    """``x`` encoded, then imputed in the encoding's matrix."""
+    fm, _ = encode_categoricals(x)
+    out = impute_apply(model, x, fm)
+    assert out is fm
+    return out
+
+
 class TestImpute:
     def test_mean_fill(self):
         d = num_dataset(a=[1, np.nan, 3])
         model = impute_fit(d)
         assert model.means["a"] == 2.0
-        out = impute_apply(model, d)
-        assert list(out.columns["a"]) == [1.0, 2.0, 3.0]
+        out = imputed(model, d)
+        assert list(out.values[:, 0]) == [1.0, 2.0, 3.0]
+        assert np.isnan(d.columns["a"][1])   # the dataset is left as it is
 
     def test_unseen_rows_use_training_means(self):
         model = impute_fit(num_dataset(a=[1, 3]))
-        out = impute_apply(model, num_dataset(a=[np.nan, 10]))
-        assert list(out.columns["a"]) == [2.0, 10.0]
+        out = imputed(model, num_dataset(a=[np.nan, 10]))
+        assert list(out.values[:, 0]) == [2.0, 10.0]
 
     def test_random_holes_oracle(self):
         rng = np.random.default_rng(8)
@@ -103,19 +112,38 @@ class TestImpute:
             cols[f"c{j}"] = c
         d = num_dataset(**cols)
         model = impute_fit(d)
-        out = impute_apply(model, d)
+        out = imputed(model, d)
         for j in range(3):
             c = d.columns[f"c{j}"]
             expected = np.nanmean(c)  # independent recomputation
-            filled = out.columns[f"c{j}"][np.isnan(c)]
+            filled = out.values[:, j][np.isnan(c)]
             assert np.allclose(filled, expected)
 
     def test_idempotent(self):
         d = num_dataset(a=[1, np.nan, 4, np.nan])
         model = impute_fit(d)
-        once = impute_apply(model, d)
-        twice = impute_apply(model, once)
-        assert np.array_equal(once.columns["a"], twice.columns["a"])
+        once = imputed(model, d).values.copy()
+        twice = impute_apply(model, d, FeatureMatrix(values=once.copy(), names=["a"]))
+        assert np.array_equal(once, twice.values)
+
+    def test_unfitted_numeric_column_is_refused_first(self, caplog):
+        cat = np.array(["tcp", "udp"], dtype=object)
+        train = Dataset(schema=[ColumnSpec("a", ColumnKind.NUMERIC),
+                                ColumnSpec("proto", ColumnKind.CATEGORICAL)],
+                        columns={"a": np.array([1.0, 2.0]), "proto": cat})
+        bm, _ = preprocess.baseline_fit(train)
+        unseen = np.array(["gre", "sctp"], dtype=object)
+        for cat_name in ("proto", "flag"):   # unseen tokens; another categorical
+            x = Dataset(schema=[ColumnSpec("b", ColumnKind.NUMERIC),
+                                ColumnSpec(cat_name, ColumnKind.CATEGORICAL)],
+                        columns={"b": np.array([1.0, np.nan]), cat_name: unseen})
+            with caplog.at_level("WARNING", logger="idsfx.preprocess"), \
+                    pytest.raises(SchemaError, match="'b' was not present at fit time"):
+                preprocess.baseline_transform(bm, x)
+            assert not caplog.records
+            fm = FeatureMatrix(values=np.zeros((2, 2)), names=["b", cat_name])
+            with pytest.raises(SchemaError, match="'b' was not present at fit time"):
+                impute_apply(bm.impute, x, fm)
 
     def test_all_missing_column_errors(self):
         with pytest.raises(PipelineError, match="bad"):
@@ -174,8 +202,8 @@ class TestEncodeCategoricals:
         from idsfx.data import split_xy
         from idsfx.preprocess import impute_fit, impute_apply
         x, _ = split_xy(blob_dataset)
-        x = impute_apply(impute_fit(x), x)
         fm, _ = encode_categoricals(x)
+        impute_apply(impute_fit(x), x, fm)
         assert fm.values.shape == (blob_dataset.n_rows, 6)
         assert not np.isnan(fm.values).any()
         assert (fm.values >= 0).all()
