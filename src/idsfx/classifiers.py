@@ -265,8 +265,8 @@ _TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_class")
 
 
 def _fit_tree(x, y, k, seed):
-    *arrays, n_nodes = kernels.grow_tree(x, y, k, x.shape[1], MIN_SAMPLES_SPLIT, seed)
-    return {name: a[:n_nodes].copy() for name, a in zip(_TREE_ARRAYS, arrays)}
+    *arrays, _ = kernels.grow_tree(x, y, k, x.shape[1], MIN_SAMPLES_SPLIT, seed)
+    return dict(zip(_TREE_ARRAYS, arrays))
 
 
 def _predict_tree(state, x):
@@ -299,11 +299,7 @@ def _fit_forest(x, y, k, seed):
         log.warning("bootstrap samples of %d of %d trees lost class(es); "
                     "grew them anyway", short, FOREST_TREES)
     *nodes, bounds = kernels.grow_forest(x, y, k, m_try, MIN_SAMPLES_SPLIT, boots, seeds)
-    forest = dict(zip(_TREE_ARRAYS, nodes))
-    # each tree's slice of the forest is a decision tree state of its own
-    trees = [{name: a[lo:hi] for name, a in forest.items()}
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return {"forest": forest, "bounds": bounds, "trees": trees, "n_classes": k}
+    return {"forest": dict(zip(_TREE_ARRAYS, nodes)), "bounds": bounds, "n_classes": k}
 
 
 def _predict_forest(state, x):

@@ -99,6 +99,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "no_tfidf", False):
         cfg.pipeline.tfidf_enabled = False
     check_field_types(cfg)
+    if cfg.profile not in _PROFILES:
+        raise ConfigError(f"unknown profile {cfg.profile!r}")
     if not 0 < cfg.test_fraction < 1:    # NaN fails too
         raise ConfigError(f"test_fraction must be in (0,1), got {cfg.test_fraction}")
     if not isinstance(cfg.classifiers, list):

@@ -389,20 +389,12 @@ def grow_forest(X, y, n_classes, max_features, min_samples_split, boots, seeds):
 def grow_tree(X, y, n_classes, max_features, min_samples_split, seed):
     """One tree of ``grow_forest`` grown on all rows of ``X``.
 
-    Returns (feature, threshold, left, right, leaf_class, n_nodes); the arrays
-    have capacity 2n+1, of which the first n_nodes are used, and feature is -1
-    at leaves.
+    Returns (feature, threshold, left, right, leaf_class, n_nodes): the
+    forest's arrays for its one tree, each of exactly n_nodes entries.
     """
-    n = X.shape[0]
     *nodes, bounds = grow_forest(X, y, n_classes, max_features, min_samples_split,
-                                 np.arange(n, dtype=np.int32)[None], [seed])
-    n_nodes = int(bounds[1])
-    out = []
-    for arr, fill in zip(nodes, (-1, 0.0, -1, -1, -1)):
-        full = np.full(2 * n + 1, fill, arr.dtype)
-        full[:n_nodes] = arr
-        out.append(full)
-    return (*out, n_nodes)
+                                 np.arange(X.shape[0], dtype=np.int32)[None], [seed])
+    return (*nodes, int(bounds[1]))
 
 
 def _codes(feature, left, right, leaf_class, bounds):

@@ -137,9 +137,6 @@ class LabelEncoder:
         except KeyError as exc:
             raise SchemaError(f"unseen label token {exc.args[0]!r}") from exc
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return np.array([self.classes[int(c)] for c in codes], dtype=object)
-
 
 def encode_labels(y: np.ndarray) -> tuple[np.ndarray, LabelEncoder]:
     if len(y) == 0:

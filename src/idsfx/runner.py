@@ -21,7 +21,10 @@ log = logging.getLogger(__name__)
 
 
 def check_algorithms(algorithms: list[str]) -> None:
-    """Raise ConfigError unless every name is a known classifier, given once."""
+    """Raise ConfigError unless the names are known classifiers, at least one,
+    each given once."""
+    if not algorithms:
+        raise ConfigError(f"no classifier given; choose from {list(clf.ALGORITHMS)}")
     for a in algorithms:
         if a not in clf.ALGORITHMS:
             raise ConfigError(f"unknown classifier {a!r}; choose from {list(clf.ALGORITHMS)}")

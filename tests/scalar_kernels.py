@@ -13,10 +13,12 @@ that ``idsfx.classifiers._fit_logreg`` replaced with a class-major one.
 ``fit_forest_loop`` and ``predict_forest_loop`` are the random forest grown and
 polled one tree at a time, which ``idsfx.kernels.grow_forest`` and
 ``forest_predict`` replaced with all trees at once; here each tree runs
-through the scalar loops above.  For the SVM, ``_svm_sgd_closed_impl`` is the
-bit-identical oracle, the closed form that ``idsfx.kernels.svm_sgd`` computes.
-``_svm_sgd_impl`` is Pegasos as first written, decaying the weights at every
-step; it does other arithmetic, so the kernel must match it to rounding only.
+through the scalar loops above.  ``forest_trees`` cuts a fitted forest's
+arrays into the same per-tree states.  For the SVM, ``_svm_sgd_closed_impl``
+is the bit-identical oracle, the closed form that ``idsfx.kernels.svm_sgd``
+computes.  ``_svm_sgd_impl`` is Pegasos as first written, decaying the
+weights at every step; it does other arithmetic, so the kernel must match it
+to rounding only.
 """
 
 import numpy as np
@@ -315,6 +317,14 @@ def _tree_state(arrays):
         "right": right[:n_nodes].copy(),
         "leaf_class": leaf_class[:n_nodes].copy(),
     }
+
+
+def forest_trees(state):
+    """Each tree of a fitted random forest as a decision tree state of its
+    own: its slice of ``state["forest"]`` by ``state["bounds"]``."""
+    bounds = state["bounds"]
+    return [{name: a[lo:hi] for name, a in state["forest"].items()}
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def fit_forest_loop(x, y, k, seed):

@@ -10,7 +10,7 @@ from idsfx import classifiers
 from idsfx.classifiers import (ALGORITHMS, ClassifierSpec, TrainedClassifier,
                                predict, train)
 from idsfx.errors import ConfigError, DomainError, SchemaError
-from scalar_kernels import fit_logreg_rowmajor, predict_knn_sorted
+from scalar_kernels import fit_logreg_rowmajor, forest_trees, predict_knn_sorted
 
 
 def blobs(n_per=20, centers=((-2, -2), (2, 2)), spread=0.3, seed=0):
@@ -327,7 +327,7 @@ class TestTrees:
         q = np.random.default_rng(1).random((20, 2)) * 4 - 2
         from idsfx.classifiers import _predict_tree
         votes = np.zeros((20, 2), dtype=int)
-        for tree in model.state["trees"]:
+        for tree in forest_trees(model.state):
             for i, p in enumerate(_predict_tree(tree, q)):
                 votes[i, p] += 1
         expect = np.argmax(votes, axis=1)

@@ -164,6 +164,25 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("error: ") and "'knn'" in err[0]
         assert not (tmp_path / "run").exists()
 
+    def test_empty_classifier_list_exit_2_before_reading_data(self, tmp_path, capsys):
+        # the dataset does not exist: the refusal must come before loading it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(tmp_path / "missing.csv"),
+                                   "classifiers": []}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "no classifier given" in err and all(repr(a) in err for a in ALGORITHMS)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_unknown_config_profile_exit_2_before_writing(self, blob_csv, tmp_path, capsys,
+                                                          command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": str(blob_csv), "profile": "nsl_kdd"}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "unknown profile 'nsl_kdd'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("doc,keys", [
         ({"pipeline": {"compnents": 4}, "clasifiers": ["knn"]}, ["clasifiers"]),
         ({"pipeline": {"compnents": 4}}, ["compnents"]),

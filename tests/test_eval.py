@@ -183,7 +183,8 @@ class TestRunEvaluation:
     @pytest.mark.parametrize("algorithms,match", [
         (["knn", "knn"], "'knn' listed more than once"),
         (["gaussian_nb", "knn", "gaussian_nb"], "'gaussian_nb' listed more than once"),
-        (["knn", 5], "unknown classifier 5")])
+        (["knn", 5], "unknown classifier 5"),
+        ([], r"no classifier given; choose from \['gaussian_nb'")])
     def test_bad_classifier_list_is_refused_before_the_split(self, algorithms, match,
                                                              monkeypatch):
         def no_split(*args):

@@ -47,12 +47,6 @@ def brute_force_best_split(X, y):
     return best
 
 
-def _stump(X, y, n_classes):
-    arrays = kernels.grow_tree(X, y, n_classes, X.shape[1], len(y) + 1, 0)
-    # min_samples_split > n would make a leaf; instead use full grow and read root
-    return arrays
-
-
 class TestTreeKernel:
     def test_root_split_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -76,7 +70,7 @@ class TestTreeKernel:
         X = rng.random((40, 4))
         y = rng.integers(0, 4, 40)
         arrays = kernels.grow_tree(X, y, 4, 4, 2, 0)
-        pred = kernels.tree_predict(X, *[a[: arrays[5]] for a in arrays[:5]])
+        pred = kernels.tree_predict(X, *arrays[:5])
         assert np.array_equal(pred, y)
 
     def test_pure_labels_single_leaf(self):
@@ -152,10 +146,14 @@ def _case(case):
 
 
 def _assert_same_tree(got, want):
-    assert got[5] == want[5]
+    """The kernel's five arrays hold exactly the tree's nodes, and they are
+    the scalar oracle's, whose arrays are padded past its ``n_nodes``."""
+    n_nodes = want[5]
+    assert got[5] == n_nodes
     for a, b in zip(got[:5], want[:5]):
         assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+        assert a.shape == (n_nodes,)
+        assert np.array_equal(a, b[:n_nodes])
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -171,7 +169,7 @@ def test_tree_kernels_match_scalar_oracle(case):
     _assert_same_tree(got, want)
 
     # training rows, fresh rows, and rows exactly on the tree's thresholds
-    tree = [a[:got[5]] for a in got[:5]]
+    tree = got[:5]
     cuts = np.append(tree[1][tree[0] >= 0], 0.5)
     Xq = np.vstack([X, rng.random((25, m)), rng.choice(cuts, (25, m))])
     pred = kernels.tree_predict(Xq, *tree)
@@ -428,8 +426,9 @@ def test_forest_matches_tree_by_tree_loop(seed, caplog):
         state = classifiers._fit_forest(X, y, k, seed)
     want, short = scalar_kernels.fit_forest_loop(X, y, k, seed)
     assert f"samples of {short} of {classifiers.FOREST_TREES} trees" in caplog.text
-    assert len(state["trees"]) == len(want["trees"])
-    for got, ref in zip(state["trees"], want["trees"]):
+    trees = scalar_kernels.forest_trees(state)
+    assert len(trees) == len(want["trees"])
+    for got, ref in zip(trees, want["trees"]):
         assert got.keys() == ref.keys()
         for name in ref:
             assert np.array_equal(got[name], ref[name])
