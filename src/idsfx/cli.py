@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,24 +80,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                                   f"{pipe['seed']!r} differ; give one")
             cfg.pipeline.seed = doc["seed"]
 
-    if getattr(args, "dataset", None):
-        cfg.dataset = args.dataset
-    if getattr(args, "profile", None):
-        cfg.profile = args.profile
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.pipeline.seed = args.seed
-    if getattr(args, "test_fraction", None) is not None:
-        cfg.test_fraction = args.test_fraction
-    if getattr(args, "components", None) is not None:
-        cfg.pipeline.u = args.components
-    if getattr(args, "select", None) is not None:
-        cfg.pipeline.v = args.select
-    if getattr(args, "threshold", None) is not None:
-        cfg.pipeline.drop_threshold = args.threshold
-    if getattr(args, "no_tfidf", False):
-        cfg.pipeline.tfidf_enabled = False
+    # each flag's dest is the name of the field it overrides
+    for target in (cfg, cfg.pipeline):
+        for f in fields(target):
+            if getattr(args, f.name, None) is not None:
+                setattr(target, f.name, getattr(args, f.name))
     check_field_types(cfg)
     if cfg.profile not in _PROFILES:
         raise ConfigError(f"unknown profile {cfg.profile!r}")
@@ -197,8 +184,8 @@ def cmd_corr(args) -> int:
     x, _ = split_xy(d)
     before = pearson_corr(baseline_fit(x)[1])
     export_report(before, out / "corr_before.csv", fmt="csv")
-    if getattr(args, "pipeline", None):
-        after = pipeline_transform(pipeline_load(args.pipeline), x)
+    if args.pipeline_file:
+        after = pipeline_transform(pipeline_load(args.pipeline_file), x)
     else:
         _, after, _ = pipeline_fit(d, cfg.pipeline)
     export_report(pearson_corr(after), out / "corr_after.csv", fmt="csv")
@@ -224,13 +211,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--dataset", help="dataset CSV path")
     p.add_argument("--profile", choices=_PROFILES)
-    p.add_argument("--components", type=int, metavar="U", help="NMF component count")
-    p.add_argument("--select", type=int, metavar="V", help="selected feature count")
+    p.add_argument("--components", type=int, dest="u", metavar="U", help="NMF component count")
+    p.add_argument("--select", type=int, dest="v", metavar="V", help="selected feature count")
     p.add_argument("--seed", type=int)
     p.add_argument("--test-fraction", type=float, dest="test_fraction")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threshold", type=float, help="near-zero-mean drop threshold")
-    p.add_argument("--no-tfidf", action="store_true", dest="no_tfidf")
+    p.add_argument("--threshold", type=float, dest="drop_threshold", metavar="THRESHOLD",
+                   help="near-zero-mean drop threshold")
+    p.add_argument("--no-tfidf", action="store_false", dest="tfidf_enabled", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corr", help="export before/after correlation matrices")
     _add_config_flags(p)
-    p.add_argument("--pipeline", help="reuse a saved pipeline instead of fitting")
+    p.add_argument("--pipeline", dest="pipeline_file",
+                   help="reuse a saved pipeline instead of fitting")
     p.set_defaults(func=cmd_corr)
 
     p = sub.add_parser("chi2", help="raw-feature chi-square score table")
@@ -279,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, EmptyDatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IdsfxError as exc:
+    except (IdsfxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,12 +9,13 @@ missing markers are "", "nan", "infinity" and "-infinity" (case-insensitive),
 and every other non-finite value is Missing too.
 
 The file is split into lines once; the header (or the first data row of a
-headerless NSL-KDD file) is read with the csv module.  The data lines are
-parsed in one ``np.loadtxt`` pass, numpy's C reader, with quoting and no
-comment character, which reads the same cells as the csv module.  The row
-parser ``_parse_rows`` runs only where numpy refuses the lines or a label is
-missing: it reports each error with its message, and still loads the valid
-files numpy rejects (empty cells, ``1_000``, non-ASCII digits).
+headerless NSL-KDD file) is read with the csv module.  The data lines of
+every profile are parsed in one ``np.loadtxt`` pass, numpy's C reader, with
+quoting and no comment character, which reads the same cells as the csv
+module.  The row parser ``_parse_rows`` runs only where numpy refuses the
+lines or a label is missing: it reports each error with its message, and
+still loads the valid files numpy rejects (empty cells, ``1_000``, non-ASCII
+digits).
 """
 
 from __future__ import annotations
@@ -242,30 +243,45 @@ def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
     return specs + tail[:extra]
 
 
-_LABEL_NAMES = ("label", "class", "target", "labels")
+# the label names and the column kind of each header-driven profile
+_HEADER_RULES = {Profile.CICIDS2017: (("label",), ColumnKind.NUMERIC),
+                 Profile.GENERIC: (("label", "class", "target", "labels"),
+                                   ColumnKind.CATEGORICAL)}
 
 
-def _generic_schema(header: list[str], rows: list[list[str]],
-                    label_col: str | None) -> list[ColumnSpec]:
-    names = [h.strip() for h in header]
+def _header_schema(header: list[str], label_names: tuple[str, ...], kind: ColumnKind,
+                   label_column: str | None) -> list[ColumnSpec]:
+    """The schema a header names: stripped names, the k-th repeat of a name
+    renamed ``name.k`` as pandas names it, and every column of ``kind`` but
+    the label.  The label is ``label_column`` if given, else the first column
+    whose name is one of ``label_names``, in any case; there may be none."""
+    names, repeats = [], {}
+    for h in header:
+        n = h.strip()
+        repeats[n] = k = repeats.get(n, -1) + 1
+        names.append(f"{n}.{k}" if k else n)
     if len(set(names)) != len(names):
-        raise SchemaError(f"duplicate column names in header: {names}")
-    if label_col is None:
-        label_col = next((n for n in names if n.lower() in _LABEL_NAMES), None)
-    elif label_col not in names:
-        raise SchemaError(f"no label column {label_col!r} in the header")
-    specs = []
-    for j, n in enumerate(names):
-        if n == label_col:
-            specs.append(ColumnSpec(n, ColumnKind.LABEL))
-        else:
-            try:
-                for row in rows:
-                    _parse_numeric(row[j])
-                specs.append(ColumnSpec(n, ColumnKind.NUMERIC))
-            except DatasetError:
-                specs.append(ColumnSpec(n, ColumnKind.CATEGORICAL))
-    return specs
+        raise SchemaError(f"header names collide after renaming repeats: {names}")
+    if label_column is None:
+        label_column = next((n for n in names if n.lower() in label_names), None)
+    elif label_column not in names:
+        raise SchemaError(f"no label column {label_column!r} in the header")
+    return [ColumnSpec(n, ColumnKind.LABEL if n == label_column else kind) for n in names]
+
+
+def _infer_numeric(schema: list[ColumnSpec], columns: dict[str, np.ndarray]) -> None:
+    """Make numeric, in place, each categorical column whose distinct tokens
+    all pass ``_parse_numeric``, mapping its tokens to float64."""
+    for k, spec in enumerate(schema):
+        if spec.kind != ColumnKind.CATEGORICAL:
+            continue
+        col = columns[spec.name]
+        try:
+            value = {t: _parse_numeric(t) for t in set(col)}
+        except DatasetError:
+            continue
+        columns[spec.name] = np.fromiter(map(value.__getitem__, col), np.float64, len(col))
+        schema[k] = ColumnSpec(spec.name, ColumnKind.NUMERIC)
 
 
 def load_csv(path: str | Path, profile: Profile | str,
@@ -275,12 +291,14 @@ def load_csv(path: str | Path, profile: Profile | str,
     NSL-KDD / MilitaryKaggle files carry the 41 canonical connection features,
     then the label and an optional trailing difficulty column (marked
     Ignored); a file of the 41 features alone has no label column.  A header
-    row is detected and skipped when present.  CICIDS-2017 files are
-    header-driven with surrounding whitespace trimmed from names and the
-    "Label" column designated as the label.  Generic requires a header; its
-    label is ``label_column``, else the first column named label, class,
-    target or labels (any case).  A header that names no label gives a
-    features-only dataset, whose ``label_column`` is None.
+    row is detected and skipped when present.  CICIDS-2017 and generic files
+    start with a header (``_header_schema``): the k-th repeat of a name
+    becomes ``name.k``, and the label is ``label_column``, else the first
+    column named Label (CICIDS-2017) or label, class, target or labels
+    (generic); naming none gives a features-only dataset.  A generic column
+    is numeric when each of its tokens is a number or a missing marker.
+    Every profile then parses the data lines once; a file with no data row
+    raises EmptyDatasetError.
     """
     if isinstance(profile, str):
         try:
@@ -292,27 +310,19 @@ def load_csv(path: str | Path, profile: Profile | str,
     start, first = _next_row(reader)
     if first is None:
         raise EmptyDatasetError(f"empty dataset: {path}")
-    if profile is Profile.GENERIC:
-        start = reader.line_num
-        data = [row for row in reader if row]
-        if not data:
-            raise DatasetError("generic profile requires a header row and at least one data row")
-        schema = _generic_schema(first, data, label_column)
-        del data, lines[:start]
-        return Dataset(schema=schema, columns=_parse_lines(lines, schema))
-    if profile is Profile.CICIDS2017:
-        header = [h.strip() for h in first]
-        at = next((k for k, n in enumerate(header) if n.lower() == "label"), None)
-        schema = [ColumnSpec(n, ColumnKind.LABEL if k == at else ColumnKind.NUMERIC)
-                  for k, n in enumerate(header)]
-    if profile is Profile.CICIDS2017 or first[0].strip().lower() == KDD_FEATURES[0]:
+    rule = _HEADER_RULES.get(profile)
+    schema = _header_schema(first, *rule, label_column) if rule else None
+    if rule or first[0].strip().lower() == KDD_FEATURES[0]:
         start, first = _next_row(reader)   # skip the header
     if first is None:
         raise EmptyDatasetError(f"empty dataset: {path}")
-    if profile is not Profile.CICIDS2017:
+    if rule is None:
         schema = _kdd_schema(len(first))
     del lines[:start]
-    return Dataset(schema=schema, columns=_parse_lines(lines, schema))
+    columns = _parse_lines(lines, schema)
+    if profile is Profile.GENERIC:
+        _infer_numeric(schema, columns)
+    return Dataset(schema=schema, columns=columns)
 
 
 def require_label(d: Dataset) -> str:

@@ -178,7 +178,7 @@ def test_criterion_8_loader_counts():
         if cicids is not None:
             d = load_csv(cicids, "cicids2017")
             _, yv = split_xy(d)
-            _, counts = np.unique(yv.values.astype(str), return_counts=True)
+            _, counts = np.unique(yv.astype(str), return_counts=True)
             assert sorted(counts.tolist(), reverse=True) == [168186, 1507, 652, 21]
             checked = True
         if not checked:

@@ -83,6 +83,11 @@ class TestInspect:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert main(["inspect", "--dataset", str(tmp_path / "nope.csv")]) == 1
 
+    def test_directory_dataset_exit_1(self, tmp_path, capsys):
+        assert main(["inspect", "--dataset", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_exit_code_follows_error_type_not_message(self, tmp_path, capsys):
         # a missing file is a runtime error even when its name reads "empty dataset"
         assert main(["inspect", "--dataset", str(tmp_path / "empty dataset.csv")]) == 1
@@ -121,6 +126,26 @@ class TestFit:
                      "--select", "3"]) == 0
         echoed = json.loads((out / "run_config.json").read_text())
         assert echoed["pipeline"]["v"] == 3
+
+    def test_every_flag_overrides_its_setting(self, blob_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "other.csv", "profile": "cicids2017",
+                                   "test_fraction": 0.5, "seed": 1}))
+        out = tmp_path / "run"
+        assert main(["fit", "--config", str(cfg), *_flags(blob_csv, out),
+                     "--test-fraction", "0.3", "--threshold", "0", "--no-tfidf"]) == 0
+        echoed = json.loads((out / "run_config.json").read_text())
+        assert {k: echoed[k] for k in ("dataset", "profile", "out", "test_fraction")} == {
+            "dataset": str(blob_csv), "profile": "generic", "out": str(out),
+            "test_fraction": 0.3}
+        assert {k: echoed["pipeline"][k] for k in ("u", "v", "seed", "drop_threshold",
+                                                   "tfidf_enabled")} == {
+            "u": 4, "v": 3, "seed": 11, "drop_threshold": 0.0, "tfidf_enabled": False}
+
+    def test_config_that_is_a_directory_exit_1(self, tmp_path, capsys):
+        assert main(["fit", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_config_json_exit_2(self, blob_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -293,6 +318,12 @@ class TestTransform:
         values = np.loadtxt(out / "transformed.csv", delimiter=",", skiprows=1)
         assert values.shape == (100, 3)
         assert np.isfinite(values).all() and (values >= 0).all()
+
+    def test_missing_pipeline_exit_1(self, blob_csv, tmp_path, capsys):
+        assert main(["transform", "--pipeline", str(tmp_path / "missing.json"),
+                     "--dataset", str(blob_csv), "--out", str(tmp_path / "tr")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.json" in err
 
     def test_checksummed_body_that_is_no_pipeline_exit_1(self, blob_csv, tmp_path, capsys):
         path = tmp_path / "pipeline.json"
@@ -536,6 +567,14 @@ class TestCorrAndChi2:
         after = list(csv.reader((out / "corr_after.csv").open()))
         assert len(before) == 6    # header + 4 numeric + 1 categorical
         assert len(after) == 4     # header + V selected components
+
+    def test_corr_reuses_a_saved_pipeline(self, blob_csv, tmp_path):
+        assert main(["fit", *_flags(blob_csv, tmp_path / "run")]) == 0
+        out, saved = tmp_path / "corr", tmp_path / "run" / "pipeline.json"
+        assert main(["corr", *_flags(blob_csv, out, ["--select", "2",
+                                                     "--pipeline", str(saved)])]) == 0
+        after = list(csv.reader((out / "corr_after.csv").open()))
+        assert len(after) == 4     # the saved pipeline's V, not the flag's
 
     def test_chi2_raw_scores(self, blob_csv, tmp_path):
         out = tmp_path / "chi2"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from idsfx import data
 from idsfx.data import (KDD_FEATURES, ColumnKind, ColumnSpec, Dataset, Profile,
                         load_csv, split_xy, train_test_split)
-from idsfx.errors import ConfigError, DatasetError, EmptyDatasetError, SchemaError
+from idsfx.errors import (ConfigError, DatasetError, EmptyDatasetError, IdsfxError,
+                          SchemaError)
 
 from conftest import make_blob_dataset, write_dataset_csv
 
@@ -115,6 +116,46 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=message):
             load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n1,2,x\n \n3,4,y\n", "^row 1: expected 3 cells, found 1$"),
+        ("label,a,b\nx,1,2\ny,3\n", "^row 1: expected 3 cells, found 2$"),
+        ("a,b,label\n1,2,x,9\n", "^row 0: expected 3 cells, found 4$"),
+    ])
+    def test_generic_rows_of_the_wrong_width(self, tmp_path, text, message):
+        with pytest.raises(DatasetError, match=message):
+            load_csv(_write(tmp_path, "g.csv", text), "generic")
+
+    def test_generic_kinds_come_from_the_tokens(self, tmp_path):
+        text = "a,b,c,label\n1,tcp,1_000,x\n,udp, Infinity ,y\n1,7,2,x\n"
+        d = load_csv(_write(tmp_path, "g.csv", text), "generic")
+        assert [s.kind for s in d.schema] == [ColumnKind.NUMERIC, ColumnKind.CATEGORICAL,
+                                              ColumnKind.NUMERIC, ColumnKind.LABEL]
+        assert np.array_equal(d.columns["a"], [1, np.nan, 1], equal_nan=True)
+        assert d.columns["b"].tolist() == ["tcp", "udp", "7"]
+        assert np.array_equal(d.columns["c"], [1000, np.nan, 2], equal_nan=True)
+
+    @pytest.mark.parametrize("profile", ["cicids2017", "generic"])
+    def test_repeated_names_keep_their_own_columns(self, tmp_path, profile):
+        text = "a,b,a,Label\n1,2,3,x\n4,5,6,y\n7,8,9,x\n10,11,12,y\n"
+        d = load_csv(_write(tmp_path, "r.csv", text), profile)
+        assert [s.name for s in d.schema] == ["a", "b", "a.1", "Label"]
+        assert d.columns["a"].tolist() == [1, 4, 7, 10]
+        assert d.columns["a.1"].tolist() == [3, 6, 9, 12]
+        d = load_csv(_write(tmp_path, "r.csv", " a ,a,a,Label\n1,2,3,x\n"), profile)
+        assert [s.name for s in d.schema] == ["a", "a.1", "a.2", "Label"]
+
+    @pytest.mark.parametrize("profile", ["cicids2017", "generic"])
+    def test_repeated_names_that_collide_are_refused(self, tmp_path, profile):
+        with pytest.raises(SchemaError, match="collide after renaming repeats"):
+            load_csv(_write(tmp_path, "r.csv", "a,a,a.1,Label\n1,2,3,x\n"), profile)
+
+    def test_label_override_under_cicids(self, tmp_path):
+        p = _write(tmp_path, "c.csv", "a,Label,Attack\n1,0,DoS\n2,1,BENIGN\n")
+        d = load_csv(p, "cicids2017", label_column="Attack")
+        assert [s.kind for s in d.schema] == [ColumnKind.NUMERIC, ColumnKind.NUMERIC,
+                                              ColumnKind.LABEL]
+        assert d.columns["Attack"].tolist() == ["DoS", "BENIGN"]
+
     def test_numeric_columns_are_separate_writable_arrays(self, tmp_path):
         d = load_csv(_write(tmp_path, "c.csv", "a,b,Label\n1,2,x\n3,4,y\n"), "cicids2017")
         a, b = d.columns["a"], d.columns["b"]
@@ -167,6 +208,7 @@ class TestLoadCsv:
         ("\x1c\n", "generic"),                         # lines but no cells
         (",".join(KDD_FEATURES) + "\n", "nsl-kdd"),     # header only
         ("Flow ID, Label\n", "cicids2017"),             # header only
+        ("a,b,label\n\n", "generic"),                   # header only
     ])
     def test_every_empty_input_raises_empty_dataset_error(self, tmp_path, text, profile):
         with pytest.raises(EmptyDatasetError, match="empty dataset"):
@@ -244,7 +286,7 @@ def _outcome(path, profile):
     tokens, or the exception's type and message."""
     try:
         d = load_csv(path, profile)
-    except Exception as exc:        # the exception is the outcome
+    except IdsfxError as exc:       # the error is the outcome; any other is a crash
         return type(exc), str(exc)
     return [(s.name, s.kind, d.columns[s.name].dtype,
              d.columns[s.name].tobytes() if s.kind == ColumnKind.NUMERIC
