@@ -9,21 +9,18 @@ missing markers are "", "nan", "infinity" and "-infinity" (case-insensitive),
 and every other non-finite value is Missing too.
 
 The file is split into lines once; the header (or the first data row of a
-headerless NSL-KDD file) is read with the csv module.  The data lines of
-every profile are parsed in one ``np.loadtxt`` pass, numpy's C reader, with
-quoting and no comment character, which reads the same cells as the csv
-module.  The row parser ``_parse_rows`` runs only where numpy refuses the
-lines or a label is missing: it reports each error with its message, and
-still loads the valid files numpy rejects (empty cells, ``1_000``, non-ASCII
-digits).
+headerless NSL-KDD file) is read with the csv module.  Every data cell is
+read by ``np.loadtxt``, numpy's C reader, with quoting and no comment
+character, which reads the same cells as the csv module.  Where numpy refuses
+a file (empty cells, ``1_000``, non-ASCII digits, a word in a generic column,
+a row of the wrong width), it reads the lines again with a Python converter
+per cell; the csv module reads them only to name a row of the wrong width.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from array import array
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -150,40 +147,6 @@ def _next_row(reader) -> tuple[int, list[str] | None]:
     return start, None
 
 
-def _parse_rows(rows: Iterable[list[str]], schema: list[ColumnSpec]) -> dict[str, np.ndarray]:
-    """Columns of the data rows under the schema.
-
-    Numeric cells go into one float buffer as each row is read, so the table
-    is never held as one str object per cell.  Errors come as from a parse
-    column by column: a row of the wrong width first, then the first bad cell
-    or missing label of the first such column in schema order.
-    """
-    numeric = [j for j, s in enumerate(schema) if s.kind == ColumnKind.NUMERIC]
-    tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
-    cells, bad = array("d"), {}     # row-major numeric cells; column -> first bad cell
-    for n_rows, row in enumerate(rows, 1):
-        if len(row) != len(schema):
-            raise DatasetError(f"row {n_rows - 1}: expected {len(schema)} cells, found {len(row)}")
-        for j in numeric:
-            try:
-                cells.append(_parse_numeric(row[j]))
-            except DatasetError as exc:
-                bad.setdefault(j, exc)
-                cells.append(np.nan)
-        for j, col in tokens.items():
-            col.append(row[j].strip())
-    by_column = np.frombuffer(cells).reshape(n_rows, len(numeric)).T.copy()  # one block
-    columns = {}
-    for j, spec in enumerate(schema):
-        if j in bad:
-            raise DatasetError(f"column {spec.name!r}: {bad[j]}") from bad[j]
-        if spec.kind == ColumnKind.LABEL and any(_is_missing(v) for v in tokens[j]):
-            raise DatasetError(f"missing label in column {spec.name!r}")
-        columns[spec.name] = (np.array(tokens[j], dtype=object) if j in tokens
-                              else by_column[numeric.index(j)])
-    return columns
-
-
 def _keep_stripped(col: list[str]):
     """A converter that appends the stripped token to ``col``, one str object
     per distinct token, and stores 0.0 in its place."""
@@ -196,41 +159,82 @@ def _keep_stripped(col: list[str]):
     return convert
 
 
-def _parse_lines(lines: list[str], schema: list[ColumnSpec]) -> dict[str, np.ndarray]:
+def _lenient(bad: dict, j: int):
+    """A converter that parses a numeric cell with ``_parse_numeric``, and
+    stores NaN for a bad cell, keeping column ``j``'s first error in ``bad``."""
+    def convert(token: str) -> float:
+        try:
+            return _parse_numeric(token)
+        except DatasetError as exc:
+            bad.setdefault(j, exc)
+            return np.nan
+    return convert
+
+
+def _loadtxt(lines: list[str], converters: dict) -> np.ndarray | None:
+    """The cells of the lines as numpy reads them; None where it refuses them."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                          encoding=None, converters=converters)
+    except ValueError:
+        return None
+
+
+def _width_error(lines: list[str], width: int) -> DatasetError:
+    """The error naming the first CSV row whose width is not ``width``."""
+    for i, row in enumerate(filter(None, csv.reader(lines))):
+        if len(row) != width:
+            return DatasetError(f"row {i}: expected {width} cells, found {len(row)}")
+    return DatasetError(f"the rows could not be read as {width} cells each")
+
+
+def _parse_lines(lines: list[str], schema: list[ColumnSpec],
+                 guessed: bool = False) -> dict[str, np.ndarray]:
     """Columns of the data lines under the schema, read by ``np.loadtxt``.
 
     Token columns pass through a converter that keeps the stripped token.
-    Without ``usecols`` numpy checks every row's width.  Where numpy refuses
-    the lines, the width differs from the schema or a label is missing,
-    ``_parse_rows`` reads the lines instead and raises its errors.  Otherwise
-    ``lines`` is emptied, so the text is freed before the cells are copied
-    into column order.
+    Where numpy refuses the lines, it reads them again with each numeric
+    column through ``_lenient``, or, if their kinds are ``guessed``, as tokens
+    whose kinds ``_infer_numeric`` picks.  Errors come as from a parse column
+    by column: a row of the wrong width first, then the first bad cell or
+    missing label of the first such column in schema order.  ``lines`` is
+    emptied before the cells are copied into column order.
     """
-    tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
     # the csv module reads nothing from an empty line, even inside a quoted
     # cell, where numpy would end the cell
     lines[:] = filter(None, lines)
-    try:
-        cells = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                           encoding=None,
-                           converters={j: _keep_stripped(col) for j, col in tokens.items()})
-    except ValueError:
-        cells = None
-    labels = (tokens[j] for j, s in enumerate(schema) if s.kind == ColumnKind.LABEL)
-    if (cells is None or cells.shape[1] != len(schema)
-            or any(map(_is_missing, set().union(*labels)))):
-        return _parse_rows(filter(None, csv.reader(lines)), schema)
+    tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
+    cells = _loadtxt(lines, {j: _keep_stripped(col) for j, col in tokens.items()})
+    bad = {}                        # column -> its first bad cell
+    if cells is None:
+        if guessed:
+            schema[:] = [ColumnSpec(s.name, ColumnKind.CATEGORICAL)
+                         if s.kind == ColumnKind.NUMERIC else s for s in schema]
+        tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
+        cells = _loadtxt(lines, {j: _keep_stripped(tokens[j]) if j in tokens else _lenient(bad, j)
+                                 for j in range(len(schema))})
+    if cells is None or cells.shape[1] != len(schema):
+        raise _width_error(lines, len(schema))
+    for j, spec in enumerate(schema):
+        if j in bad:
+            raise DatasetError(f"column {spec.name!r}: {bad[j]}") from bad[j]
+        if spec.kind == ColumnKind.LABEL and any(map(_is_missing, set(tokens[j]))):
+            raise DatasetError(f"missing label in column {spec.name!r}")
     lines.clear()
     by_column = cells.T.copy()      # one block, a row per column
     del cells
     np.copyto(by_column, np.nan, where=~np.isfinite(by_column))
-    return {spec.name: (np.array(tokens[j], dtype=object) if j in tokens else by_column[j])
-            for j, spec in enumerate(schema)}
+    columns = {spec.name: (np.array(tokens[j], dtype=object) if j in tokens else by_column[j])
+               for j, spec in enumerate(schema)}
+    if guessed:
+        _infer_numeric(schema, columns)
+    return columns
 
 
-def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
+def _kdd_schema(n_cols: int, label_column: str | None) -> list[ColumnSpec]:
     """The 41 features, then the label and the difficulty column of
-    KDDTrain+ style files where present; 41 columns have no label."""
+    KDDTrain+ style files where present; 41 columns have no label, and
+    ``label_column`` may name only the label."""
     specs = [
         ColumnSpec(n, ColumnKind.CATEGORICAL if n in KDD_CATEGORICAL else ColumnKind.NUMERIC)
         for n in KDD_FEATURES
@@ -240,20 +244,23 @@ def _kdd_schema(n_cols: int) -> list[ColumnSpec]:
     if not 0 <= extra <= len(tail):
         raise SchemaError(f"expected {len(specs)} to {len(specs) + len(tail)} "
                           f"columns for this profile, found {n_cols}")
-    return specs + tail[:extra]
+    schema = specs + tail[:extra]
+    if label_column is not None and ColumnSpec(label_column, ColumnKind.LABEL) not in schema:
+        raise SchemaError(f"no label column {label_column!r} in this profile's {n_cols} "
+                          "columns; only column 42, 'label', can be named")
+    return schema
 
 
-# the label names and the column kind of each header-driven profile
-_HEADER_RULES = {Profile.CICIDS2017: (("label",), ColumnKind.NUMERIC),
-                 Profile.GENERIC: (("label", "class", "target", "labels"),
-                                   ColumnKind.CATEGORICAL)}
+# the label names of each header-driven profile
+_LABEL_NAMES = {Profile.CICIDS2017: ("label",),
+                Profile.GENERIC: ("label", "class", "target", "labels")}
 
 
-def _header_schema(header: list[str], label_names: tuple[str, ...], kind: ColumnKind,
+def _header_schema(header: list[str], label_names: tuple[str, ...],
                    label_column: str | None) -> list[ColumnSpec]:
     """The schema a header names: stripped names, the k-th repeat of a name
-    renamed ``name.k`` as pandas names it, and every column of ``kind`` but
-    the label.  The label is ``label_column`` if given, else the first column
+    renamed ``name.k`` as pandas names it, and every column numeric but the
+    label.  The label is ``label_column`` if given, else the first column
     whose name is one of ``label_names``, in any case; there may be none."""
     names, repeats = [], {}
     for h in header:
@@ -266,7 +273,8 @@ def _header_schema(header: list[str], label_names: tuple[str, ...], kind: Column
         label_column = next((n for n in names if n.lower() in label_names), None)
     elif label_column not in names:
         raise SchemaError(f"no label column {label_column!r} in the header")
-    return [ColumnSpec(n, ColumnKind.LABEL if n == label_column else kind) for n in names]
+    return [ColumnSpec(n, ColumnKind.LABEL if n == label_column else ColumnKind.NUMERIC)
+            for n in names]
 
 
 def _infer_numeric(schema: list[ColumnSpec], columns: dict[str, np.ndarray]) -> None:
@@ -295,10 +303,11 @@ def load_csv(path: str | Path, profile: Profile | str,
     start with a header (``_header_schema``): the k-th repeat of a name
     becomes ``name.k``, and the label is ``label_column``, else the first
     column named Label (CICIDS-2017) or label, class, target or labels
-    (generic); naming none gives a features-only dataset.  A generic column
-    is numeric when each of its tokens is a number or a missing marker.
-    Every profile then parses the data lines once; a file with no data row
-    raises EmptyDatasetError.
+    (generic); naming none gives a features-only dataset.  ``label_column``
+    may name only the label under NSL-KDD / MilitaryKaggle.  Generic guesses
+    every other column numeric; where numpy refuses the file, a column is
+    numeric when each of its tokens is a number or a missing marker.  A file
+    with no data row raises EmptyDatasetError.
     """
     if isinstance(profile, str):
         try:
@@ -310,18 +319,16 @@ def load_csv(path: str | Path, profile: Profile | str,
     start, first = _next_row(reader)
     if first is None:
         raise EmptyDatasetError(f"empty dataset: {path}")
-    rule = _HEADER_RULES.get(profile)
-    schema = _header_schema(first, *rule, label_column) if rule else None
-    if rule or first[0].strip().lower() == KDD_FEATURES[0]:
+    label_names = _LABEL_NAMES.get(profile)
+    schema = _header_schema(first, label_names, label_column) if label_names else None
+    if label_names or first[0].strip().lower() == KDD_FEATURES[0]:
         start, first = _next_row(reader)   # skip the header
     if first is None:
         raise EmptyDatasetError(f"empty dataset: {path}")
-    if rule is None:
-        schema = _kdd_schema(len(first))
+    if schema is None:
+        schema = _kdd_schema(len(first), label_column)
     del lines[:start]
-    columns = _parse_lines(lines, schema)
-    if profile is Profile.GENERIC:
-        _infer_numeric(schema, columns)
+    columns = _parse_lines(lines, schema, guessed=profile is Profile.GENERIC)
     return Dataset(schema=schema, columns=columns)
 
 
@@ -348,7 +355,7 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
 
     Each class with at least 2 members keeps a row on each side; a class with
     one member stays in train.  Without labels, or when no class has 2
-    members, a plain seeded shuffle is used.
+    members, all rows are one class: a plain seeded shuffle.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be in (0,1), got {test_fraction}")
@@ -356,32 +363,23 @@ def train_test_split(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     if n < 2:
         raise DatasetError("need at least 2 rows to split")
     rng = np.random.default_rng(seed)
-    labels = None if d.label_column is None else d.columns[d.label_column]
+    one_class = np.full(n, "")
+    keys = one_class if d.label_column is None else d.columns[d.label_column].astype(str)
+    _, counts = np.unique(keys, return_counts=True)
+    if counts.max() < 2:
+        log.warning("no class has 2 members; falling back to plain shuffle")
+        keys = one_class
+    elif (counts == 1).any():
+        log.warning("%d classes with one member kept in train", int((counts == 1).sum()))
 
-    stratify = False
-    if labels is not None:
-        _, counts = np.unique(labels.astype(str), return_counts=True)
-        stratify = bool(counts.max() >= 2)
-        if not stratify:
-            log.warning("no class has 2 members; falling back to plain shuffle")
-        elif (counts == 1).any():
-            log.warning("%d classes with one member kept in train", int((counts == 1).sum()))
-
-    if stratify:
-        test_parts = []
-        keys = labels.astype(str)
-        for cls in sorted(set(keys)):
-            idx = np.flatnonzero(keys == cls)
-            idx = rng.permutation(idx)
-            k = int(round(test_fraction * len(idx)))
-            k = min(max(k, 1), len(idx) - 1)
-            test_parts.append(idx[:k])
-        test_idx = np.sort(np.concatenate(test_parts))
-    else:
-        perm = rng.permutation(n)
-        k = int(round(test_fraction * n))
-        k = min(max(k, 1), n - 1)
-        test_idx = np.sort(perm[:k])
+    test_parts = []
+    for cls in sorted(set(keys)):
+        idx = np.flatnonzero(keys == cls)
+        idx = rng.permutation(idx)
+        k = int(round(test_fraction * len(idx)))
+        k = min(max(k, 1), len(idx) - 1)
+        test_parts.append(idx[:k])
+    test_idx = np.sort(np.concatenate(test_parts))
 
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True

@@ -13,6 +13,7 @@ from idsfx.data import (KDD_FEATURES, ColumnKind, ColumnSpec, Dataset, Profile,
 from idsfx.errors import (ConfigError, DatasetError, EmptyDatasetError, IdsfxError,
                           SchemaError)
 
+import row_parser
 from conftest import make_blob_dataset, write_dataset_csv
 
 
@@ -199,6 +200,18 @@ class TestLoadCsv:
         d = load_csv(p, "generic", label_column="c")
         assert d.label_column == "c"
 
+    @pytest.mark.parametrize("profile", ["nsl-kdd", "military-kaggle"])
+    def test_fixed_schemas_take_only_their_label_by_name(self, tmp_path, profile):
+        p = _write(tmp_path, "k.csv", "\n".join([_kdd_row("normal", 3), _kdd_row("dos", 5)]))
+        assert load_csv(p, profile, label_column="label").label_column == "label"
+        for name in ("no_such_column", "difficulty", "duration"):
+            with pytest.raises(SchemaError, match=f"^no label column '{name}' in this profile's "
+                                                  "43 columns; only column 42"):
+                load_csv(p, profile, label_column=name)
+        features = _write(tmp_path, "f.csv", ",".join(_kdd_row().split(",")[:41]) + "\n")
+        with pytest.raises(SchemaError, match="^no label column 'label' in this profile's 41 "):
+            load_csv(features, profile, label_column="label")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DatasetError, match="empty dataset"):
             load_csv(_write(tmp_path, "e.csv", "\n"), "generic")
@@ -294,8 +307,8 @@ def _outcome(path, profile):
 
 
 class TestLoadtxtPath:
-    """The numpy reader against the row parser that was the only path before
-    it and now runs where numpy refuses a file."""
+    """The numpy reader against the csv-module row parser
+    (``tests/row_parser.py``) that read every cell before it."""
 
     @pytest.mark.parametrize("profile", [p.value for p in Profile])
     @given(seed=st.integers(0, 2**32 - 1))
@@ -303,18 +316,47 @@ class TestLoadtxtPath:
     def test_loads_as_the_row_parser(self, tmp_path_factory, profile, seed):
         path = tmp_path_factory.mktemp("fuzz") / "f.csv"
         path.write_bytes(_fuzz_csv(seed, profile).encode("utf-8"))
-        with mock.patch.object(data.np, "loadtxt", side_effect=ValueError):
+        with mock.patch.object(data, "_parse_lines", row_parser.parse_lines):
             expected = _outcome(path, profile)
         assert _outcome(path, profile) == expected
 
     @pytest.mark.parametrize("profile", [p.value for p in Profile])
     def test_clean_files_never_reach_the_row_parser(self, tmp_path, profile):
+        # numpy reads a clean file in one pass, with no Python call per
+        # numeric cell; a generic file is clean when every column but the
+        # label is numeric
         kdd = profile in ("nsl-kdd", "military-kaggle")
         text = ("\n".join([_kdd_row("normal", 3), _kdd_row("neptune", 9)]) if kdd
                 else "a, b ,label\n1,2.5,x\n\n3,Infinity,y\r\n")
-        with mock.patch.object(data, "_parse_rows", side_effect=AssertionError):
+        with (mock.patch.object(data, "_lenient", side_effect=AssertionError),
+              mock.patch.object(data, "_parse_numeric", side_effect=AssertionError)):
             d = load_csv(_write(tmp_path, "c.csv", text + "\n"), profile)
         assert d.n_rows == 2
+        assert len(d.specs(ColumnKind.NUMERIC)) == (38 if kdd else 2)
+
+    def test_generic_column_with_a_late_word_is_categorical(self, tmp_path):
+        lines = ["a,b,label"] + [f"{i}, {i}.5 ,x" for i in range(50)] + ["50, tcp ,y", "51,,x"]
+        path = _write(tmp_path, "g.csv", "\n".join(lines) + "\n")
+        d = load_csv(path, "generic")
+        assert [s.kind for s in d.schema] == [ColumnKind.NUMERIC, ColumnKind.CATEGORICAL,
+                                              ColumnKind.LABEL]
+        assert d.columns["a"].tolist() == list(range(52))
+        assert d.columns["b"].tolist() == [f"{i}.5" for i in range(50)] + ["tcp", ""]
+        expected = _outcome(path, "generic")
+        with mock.patch.object(data, "_parse_lines", row_parser.parse_lines):
+            assert _outcome(path, "generic") == expected
+
+    def test_blank_cell_then_a_bad_cell_in_a_later_column(self, tmp_path):
+        # numpy refuses the blank cell; the lenient read finds column b's word
+        text = "a,b,c,Label\n1,2,3,x\n,4,5,y\n6,z,w,x\n"
+        with pytest.raises(DatasetError, match="^column 'b': cell 'z' is not numeric$"):
+            load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+
+    def test_rows_numpy_cannot_read_at_any_width(self, tmp_path):
+        # the csv module finds every row 2 cells wide, so no row is named
+        with mock.patch.object(data.np, "loadtxt", side_effect=ValueError):
+            with pytest.raises(DatasetError, match="^the rows could not be read as 2 cells each$"):
+                load_csv(_write(tmp_path, "c.csv", "a,Label\n1,x\n"), "cicids2017")
 
     def test_wrong_width_in_a_headerless_kdd_file(self, tmp_path):
         text = "\n".join([_kdd_row(), _kdd_row(), _kdd_row(difficulty=3)]) + "\n"
@@ -455,6 +497,19 @@ class TestTrainTestSplit:
             k = min(max(int(round(0.25 * idx.size)), 1), idx.size - 1)
             expected.append(idx[:k])
         assert np.array_equal(test.columns["row"], np.sort(np.concatenate(expected)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unlabelled_and_all_singleton_splits_are_one_shuffle(self, seed, caplog):
+        # a plain seeded shuffle: the first k of one permutation of all rows
+        n = 2 + 5 * seed
+        k = min(max(int(round(0.3 * n)), 1), n - 1)
+        expected = np.sort(np.random.default_rng(seed).permutation(n)[:k])
+        singletons = _labelled_rows(np.array([f"r{i}" for i in range(n)], dtype=object))
+        for d in (singletons.select(singletons.schema[:1]), singletons):
+            train, test = train_test_split(d, 0.3, seed)
+            assert np.array_equal(test.columns["row"], expected)
+            assert np.array_equal(train.columns["row"], np.setdiff1d(np.arange(n), expected))
+        assert caplog.text.count("no class has 2 members") == 1
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.1, 2.0])
     def test_bad_fraction(self, frac):
