@@ -24,7 +24,15 @@ that ``transform`` applies), so the VmHWM is the command's own.  It prints
 the VmHWM each time ``load_csv``, the pipeline's impute/encode, TF-IDF,
 ``nmf_fit`` or ``nmf_transform`` returns (and, in ``evaluate``, the
 baseline's and each classifier's train and predict), and at the end.  Set
-``OPENBLAS_NUM_THREADS=1`` to measure at one BLAS thread.
+``OPENBLAS_NUM_THREADS=1`` to measure at one BLAS thread.  Where ``evaluate``
+trains the baseline variant in a forked child, the lines that child prints
+are tagged ``[child]`` and give its own VmHWM.  The last line gives the
+largest peak resident set of the reaped children
+(``getrusage(RUSAGE_CHILDREN).ru_maxrss``); it counts the pages a forked
+child shared with this process at the fork.  The line before the command
+gives the same figure for the child that wrote the look-alike; where the two
+are equal, that writer peaked higher, and the ``[child]`` lines are the
+forked child's only record.
 
 The program's output and log lines are dropped.  This is a script, not a
 test; ``heap_in_use`` is also what the retained-heap test reads.
@@ -39,6 +47,8 @@ import io
 import json
 import logging
 import multiprocessing
+import os
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -82,6 +92,11 @@ def peak_rss_kb() -> int | None:
     return None
 
 
+def children_peak_mb() -> float:
+    """The largest peak resident set of this process's reaped children, in MB."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+
+
 def _import_paths() -> None:
     sys.path.insert(0, str(ROOT / "clibench"))
     sys.path.insert(0, str(ROOT / "src"))
@@ -113,6 +128,7 @@ def _hook_stages() -> None:
     from idsfx import classifiers, cli, pipeline, runner
 
     out = sys.stdout      # the command's own output is redirected
+    parent = os.getpid()
 
     def hooked(module, name, label, by_algorithm=False):
         fn = getattr(module, name)
@@ -120,7 +136,9 @@ def _hook_stages() -> None:
         def stage(*args, **kwargs):
             result = fn(*args, **kwargs)
             text = f"{label} {args[0].algorithm}" if by_algorithm else label
-            print(f"{text:<28} {peak_rss_kb() / 1024:>10.1f}", file=out, flush=True)
+            if os.getpid() != parent:
+                text = f"[child] {text}"
+            print(f"{text:<36} {peak_rss_kb() / 1024:>10.1f}", file=out, flush=True)
             return result
         setattr(module, name, stage)
 
@@ -156,9 +174,11 @@ def run_command(args, work: Path, picked: list[str]) -> None:
     if child.exitcode != 0:
         raise SystemExit(f"preparing {dataset.name} exited {child.exitcode}")
     _hook_stages()
-    print(f"{'after':<28} {'VmHWM_MB':>10}")
+    print(f"{'after':<36} {'VmHWM_MB':>10}")
+    print(f"{'children (look-alike)':<36} {children_peak_mb():>10.1f}")
     _quiet_main(argv)
-    print(f"{'end':<28} {peak_rss_kb() / 1024:>10.1f}")
+    print(f"{'end':<36} {peak_rss_kb() / 1024:>10.1f}")
+    print(f"{'children (ru_maxrss)':<36} {children_peak_mb():>10.1f}")
 
 
 def main(argv: list[str] | None = None) -> int:
