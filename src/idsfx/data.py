@@ -171,13 +171,40 @@ def _lenient(bad: dict, j: int):
     return convert
 
 
-def _loadtxt(lines: list[str], converters: dict) -> np.ndarray | None:
-    """The cells of the lines as numpy reads them; None where it refuses them."""
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                          encoding=None, converters=converters)
-    except ValueError:
-        return None
+LOAD_CHUNK_LINES = 1024     # lines per np.loadtxt call in a file without quotes
+
+
+def _loadtxt(lines: list[str], converters: dict, width: int) -> np.ndarray | None:
+    """The cells of the lines as numpy reads them, a row per column; None
+    where numpy refuses them or a row is not ``width`` cells wide.
+
+    Where no line holds a quote, each line is one row, and numpy reads
+    ``LOAD_CHUNK_LINES`` lines at a time into the column-major block, so the
+    file's row-major cells and their copy are never held at once.  A quoted
+    cell may span lines, so a file with quotes is read in one call, and its
+    cells come back transposed, not copied.  Each call is told its row count
+    (``max_rows``; a row takes at least one line), so numpy allocates the
+    cells once instead of growing them.  Holding both copies, or the grown
+    ones, left a heap that a later load sometimes had to extend by 1 MB, so a
+    long-running process's peak resident set depended on what it had read."""
+    def read(part: list[str]) -> np.ndarray | None:
+        try:
+            cells = np.loadtxt(part, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                               encoding=None, converters=converters, max_rows=len(part))
+        except ValueError:
+            return None
+        return cells if cells.shape[1] == width else None
+
+    if any('"' in line for line in lines):
+        cells = read(lines)
+        return None if cells is None else cells.T
+    block = np.empty((width, len(lines)))
+    for at in range(0, len(lines), LOAD_CHUNK_LINES):
+        cells = read(lines[at:at + LOAD_CHUNK_LINES])
+        if cells is None:
+            return None
+        block[:, at:at + LOAD_CHUNK_LINES] = cells.T
+    return block
 
 
 def _width_error(lines: list[str], width: int) -> DatasetError:
@@ -198,13 +225,14 @@ def _parse_lines(lines: list[str], schema: list[ColumnSpec],
     whose kinds ``_infer_numeric`` picks.  Errors come as from a parse column
     by column: a row of the wrong width first, then the first bad cell or
     missing label of the first such column in schema order.  ``lines`` is
-    emptied before the cells are copied into column order.
+    emptied before a quoted file's cells are copied into column order.
     """
     # the csv module reads nothing from an empty line, even inside a quoted
     # cell, where numpy would end the cell
     lines[:] = filter(None, lines)
     tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
-    cells = _loadtxt(lines, {j: _keep_stripped(col) for j, col in tokens.items()})
+    cells = _loadtxt(lines, {j: _keep_stripped(col) for j, col in tokens.items()},
+                     len(schema))
     bad = {}                        # column -> its first bad cell
     if cells is None:
         if guessed:
@@ -212,8 +240,8 @@ def _parse_lines(lines: list[str], schema: list[ColumnSpec],
                          if s.kind == ColumnKind.NUMERIC else s for s in schema]
         tokens = {j: [] for j, s in enumerate(schema) if s.kind != ColumnKind.NUMERIC}
         cells = _loadtxt(lines, {j: _keep_stripped(tokens[j]) if j in tokens else _lenient(bad, j)
-                                 for j in range(len(schema))})
-    if cells is None or cells.shape[1] != len(schema):
+                                 for j in range(len(schema))}, len(schema))
+    if cells is None:
         raise _width_error(lines, len(schema))
     for j, spec in enumerate(schema):
         if j in bad:
@@ -221,7 +249,7 @@ def _parse_lines(lines: list[str], schema: list[ColumnSpec],
         if spec.kind == ColumnKind.LABEL and any(map(_is_missing, set(tokens[j]))):
             raise DatasetError(f"missing label in column {spec.name!r}")
     lines.clear()
-    by_column = cells.T.copy()      # one block, a row per column
+    by_column = np.ascontiguousarray(cells)     # one block, a row per column
     del cells
     np.copyto(by_column, np.nan, where=~np.isfinite(by_column))
     columns = {spec.name: (np.array(tokens[j], dtype=object) if j in tokens else by_column[j])

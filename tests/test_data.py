@@ -320,6 +320,41 @@ class TestLoadtxtPath:
             expected = _outcome(path, profile)
         assert _outcome(path, profile) == expected
 
+    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("profile", [p.value for p in Profile])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_loads_as_the_row_parser_in_small_chunks(self, tmp_path_factory, profile, chunk,
+                                                     seed):
+        # the fuzzed files have up to 5 rows, so chunk boundaries fall
+        # between good rows, bad cells and rows of the wrong width
+        path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+        path.write_bytes(_fuzz_csv(seed, profile).encode("utf-8"))
+        with mock.patch.object(data, "_parse_lines", row_parser.parse_lines):
+            expected = _outcome(path, profile)
+        with mock.patch.object(data, "LOAD_CHUNK_LINES", chunk):
+            assert _outcome(path, profile) == expected
+
+    def test_chunks_fill_one_block_of_contiguous_columns(self, tmp_path):
+        text = "a,b,Label\n" + "".join(f"{i},{i}.5,x{i % 3}\n" for i in range(7))
+        with mock.patch.object(data, "LOAD_CHUNK_LINES", 3):
+            d = load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+        a, b = d.columns["a"], d.columns["b"]
+        assert a.tolist() == list(range(7)) and b.tolist() == [i + 0.5 for i in range(7)]
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.base is b.base         # rows of one (columns, rows) block
+        assert d.columns["Label"].tolist() == [f"x{i % 3}" for i in range(7)]
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("5,6,7,x", "^row 4: expected 3 cells, found 4$"),
+        ("5,z,x", "^column 'b': cell 'z' is not numeric$"),
+    ])
+    def test_error_in_a_later_chunk(self, tmp_path, bad_row, message):
+        text = "a,b,Label\n1,2,x\n3,4,y\n1,2,x\n3,4,y\n" + bad_row + "\n"
+        with mock.patch.object(data, "LOAD_CHUNK_LINES", 2):
+            with pytest.raises(DatasetError, match=message):
+                load_csv(_write(tmp_path, "c.csv", text), "cicids2017")
+
     @pytest.mark.parametrize("profile", [p.value for p in Profile])
     def test_clean_files_never_reach_the_row_parser(self, tmp_path, profile):
         # numpy reads a clean file in one pass, with no Python call per
